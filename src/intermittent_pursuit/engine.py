@@ -18,7 +18,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -226,12 +226,13 @@ def _check_review(review_at, t: float):
         raise ValueError(f"review_at must be a finite time or None, got {review_at!r}")
 
 
-def simulate(config: GameConfig, pursuer, evader, max_events: int = 200_000) -> SimulationResult:
-    """Play one game to capture or to the horizon.
+def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact):
+    """The event loop that ``simulate`` and the dense oracle share.
 
-    ``pursuer`` and ``evader`` are strategy objects (see strategies module).
-    Raises BudgetViolationError if the pursuer senses beyond its budget, and
-    ValueError on malformed actions (non-unit headings, over-cap speeds).
+    ``first_contact(t, t_next, x_p, v_p, x_e, v_e)`` returns the absolute
+    time of the first capture on [t, t_next] under the given constant
+    velocities, or None; it is the only step in which the callers differ.
+    Returns the outcome, the sensing log and both players' segment lists.
     """
     log = SensingLog.initial(config)
     t = 0.0
@@ -277,9 +278,9 @@ def simulate(config: GameConfig, pursuer, evader, max_events: int = 200_000) -> 
                 t_next = review
         t_next = min(t_next, config.t_f)
 
-        s = _capture_root(x_p, v_p, x_e, v_e, config.r_cap, t_next - t)
-        if s is not None:
-            t_next = t + s
+        t_hit = first_contact(t, t_next, x_p, v_p, x_e, v_e)
+        if t_hit is not None:
+            t_next = t_hit
             captured, capture_time = True, t_next
         if t_next > t:
             p_segments.append(Segment(t, t_next, x_p, v_p))
@@ -289,14 +290,29 @@ def simulate(config: GameConfig, pursuer, evader, max_events: int = 200_000) -> 
         t = t_next
 
     final_distance = x_p.dist(x_e)
-    payoff = payoff_of(config.phi, captured, final_distance)
     outcome = Outcome(
         captured=captured,
         capture_time=capture_time,
         final_distance=final_distance,
-        payoff=payoff,
+        payoff=payoff_of(config.phi, captured, final_distance),
         sensing_times=log.times[1:],
     )
+    return outcome, log, p_segments, e_segments
+
+
+def simulate(config: GameConfig, pursuer, evader, max_events: int = 200_000) -> SimulationResult:
+    """Play one game to capture or to the horizon.
+
+    ``pursuer`` and ``evader`` are strategy objects (see strategies module).
+    Raises BudgetViolationError if the pursuer senses beyond its budget, and
+    ValueError on malformed actions (non-unit headings, over-cap speeds).
+    """
+    def first_contact(t, t_next, x_p, v_p, x_e, v_e):
+        s = _capture_root(x_p, v_p, x_e, v_e, config.r_cap, t_next - t)
+        return None if s is None else t + s
+
+    outcome, log, p_segments, e_segments = _play(config, pursuer, evader, max_events,
+                                                 first_contact)
     return SimulationResult(
         outcome=outcome,
         pursuer_trajectory=Trajectory(0.0, config.x_p0, tuple(p_segments)),
@@ -305,14 +321,9 @@ def simulate(config: GameConfig, pursuer, evader, max_events: int = 200_000) -> 
     )
 
 
-def _default_evader_factory(thetas: Sequence[int]) -> EquilibriumEvader:
-    return EquilibriumEvader(thetas)
-
-
 def enumerate_branch_payoffs(
     config: GameConfig,
     pursuer,
-    evader_factory: Optional[Callable[[tuple[int, ...]], object]] = None,
     enumeration_cap: int = 20,
 ) -> tuple[float, ...]:
     """Payoff of every orientation branch, in lexicographic (+1 first) order.
@@ -327,25 +338,19 @@ def enumerate_branch_payoffs(
         raise EnumerationCapError(
             f"2^{draws} branches exceed the enumeration cap 2^{enumeration_cap}"
         )
-    factory = evader_factory or _default_evader_factory
     payoffs = []
     for thetas in itertools.product((1, -1), repeat=draws):
-        result = simulate(config, pursuer, factory(thetas))
+        result = simulate(config, pursuer, EquilibriumEvader(thetas))
         payoffs.append(result.outcome.payoff)
     return tuple(payoffs)
 
 
-def exact_expected_payoff(
-    config: GameConfig,
-    pursuer,
-    evader_factory: Optional[Callable[[tuple[int, ...]], object]] = None,
-    enumeration_cap: int = 20,
-) -> float:
+def exact_expected_payoff(config: GameConfig, pursuer, enumeration_cap: int = 20) -> float:
     """Expected payoff against the orientation-randomizing evader, exactly.
 
     Enumerates every orientation branch and averages; no sampling error.
     """
-    payoffs = enumerate_branch_payoffs(config, pursuer, evader_factory, enumeration_cap)
+    payoffs = enumerate_branch_payoffs(config, pursuer, enumeration_cap)
     return math.fsum(payoffs) / len(payoffs)
 
 
@@ -354,7 +359,6 @@ def mc_expected_payoff(
     pursuer,
     n_draws: int,
     seed: int,
-    evader_factory: Optional[Callable[[tuple[int, ...]], object]] = None,
     enumeration_cap: int = 20,
 ) -> float:
     """Monte Carlo estimate over the same branches, for sanity checks.
@@ -364,19 +368,22 @@ def mc_expected_payoff(
     """
     if n_draws <= 0:
         raise ValueError(f"n_draws must be positive, got {n_draws}")
-    payoffs = enumerate_branch_payoffs(config, pursuer, evader_factory, enumeration_cap)
+    payoffs = enumerate_branch_payoffs(config, pursuer, enumeration_cap)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     counts = rng.multinomial(n_draws, [1.0 / len(payoffs)] * len(payoffs))
     return float(np.dot(counts, payoffs) / n_draws)
 
 
-def sampled_expected_payoff(
-    config: GameConfig,
-    pursuer,
-    n_draws: int,
-    seed: int,
-    evader_factory: Optional[Callable[[tuple[int, ...]], object]] = None,
-) -> float:
+def _sampled_payoffs(config: GameConfig, pursuer, n_draws: int, seed: int) -> np.ndarray:
+    """Payoff of one simulated game per draw against the randomizing evader."""
+    payoffs = np.empty(n_draws)
+    for draw in range(n_draws):
+        thetas = theta_stream(seed, draw, config.n + 1)
+        payoffs[draw] = simulate(config, pursuer, EquilibriumEvader(thetas)).outcome.payoff
+    return payoffs
+
+
+def sampled_expected_payoff(config: GameConfig, pursuer, n_draws: int, seed: int) -> float:
     """Plain Monte Carlo, one simulation per draw.
 
     For budgets beyond the enumeration cap, where the branch count makes
@@ -384,12 +391,7 @@ def sampled_expected_payoff(
     """
     if n_draws <= 0:
         raise ValueError(f"n_draws must be positive, got {n_draws}")
-    factory = evader_factory or _default_evader_factory
-    total = 0.0
-    for draw in range(n_draws):
-        thetas = theta_stream(seed, draw, config.n + 1)
-        total += simulate(config, pursuer, factory(thetas)).outcome.payoff
-    return total / n_draws
+    return float(_sampled_payoffs(config, pursuer, n_draws, seed).mean())
 
 
 def write_trajectory_csv(path, result: SimulationResult) -> None:

@@ -28,18 +28,16 @@ from .core import (
     line_of_sight,
     perpendicular,
 )
-from .engine import exact_expected_payoff, payoff_of, simulate
+from .engine import _play, _sampled_payoffs, exact_expected_payoff, simulate
 from .strategies import (
     ARRIVAL_TOL,
     ArrivalSensingPursuer,
     EquilibriumEvader,
-    EvaderInfo,
     PursuerAction,
     PursuerInfo,
     RadialEvader,
     ScriptedEvader,
     SelfTriggeredPursuer,
-    SensingLog,
     WaitingPursuer,
     theta_stream,
     trial_rng,
@@ -122,6 +120,9 @@ class VerificationReport:
 
 
 def _finish_report(suite, trials, tolerance, worst, failures, notes) -> VerificationReport:
+    """Build a report; failures past the twelfth are kept only as a count."""
+    if len(failures) > 12:
+        failures = failures[:12] + [f"... and {len(failures) - 12} more"]
     return VerificationReport(
         suite=suite,
         trials=trials,
@@ -131,13 +132,6 @@ def _finish_report(suite, trials, tolerance, worst, failures, notes) -> Verifica
         passed=not failures,
         notes=tuple(notes),
     )
-
-
-def _cap_failures(failures: list[str], limit: int = 12) -> list[str]:
-    if len(failures) <= limit:
-        return failures
-    hidden = len(failures) - limit
-    return failures[:limit] + [f"... and {hidden} more"]
 
 
 def _rotated(v: Vec2, angle: float) -> Vec2:
@@ -279,6 +273,14 @@ def default_evader_config() -> GameConfig:
     )
 
 
+def _with_scripted(config: GameConfig, entries: list, trials: int, seed: int) -> list:
+    """The structured adversaries, then seeded random evaders up to ``trials`` in all."""
+    count = max(trials, len(entries))
+    for i in range(len(entries), count):
+        entries.append((f"scripted_{i}", random_piecewise_evader(config, trial_rng(seed, i))))
+    return entries[:count]
+
+
 def _guarantee_payoff(args):
     config, evader = args
     return simulate(config, WaitingPursuer(), evader).outcome.payoff
@@ -301,15 +303,12 @@ def pursuer_guarantee_check(
     config = config or default_pursuer_config()
     bound = value_bound(config.initial_distance, config.t_f, config.n, config.phi, config.nu)
     draws = config.n + 1
-    entries: list[tuple[str, object]] = [
+    entries = _with_scripted(config, [
         ("radial", RadialEvader()),
         ("dodge_plus", EquilibriumEvader((1,) * draws)),
         ("dodge_minus", EquilibriumEvader((-1,) * draws)),
         ("dodge_seeded", EquilibriumEvader(theta_stream(seed, 0, draws))),
-    ]
-    for i in range(len(entries), max(trials, len(entries))):
-        entries.append((f"scripted_{i}", random_piecewise_evader(config, trial_rng(seed, i))))
-    entries = entries[:max(trials, 4)]
+    ], trials, seed)
 
     payoffs = _map_trials(_guarantee_payoff, [(config, ev) for _, ev in entries])
     worst = -math.inf
@@ -323,8 +322,7 @@ def pursuer_guarantee_check(
         f"bound {bound.value:.12g} ({bound.case_tag}, tight={bound.is_tight})",
         f"worst payoff {worst + bound.value:.12g}",
     ]
-    return _finish_report("pursuer", len(entries), tolerance, worst,
-                          _cap_failures(failures), notes)
+    return _finish_report("pursuer", len(entries), tolerance, worst, failures, notes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -365,10 +363,7 @@ def _expected_with_tolerance(config, pursuer, tolerance, mc_draws):
     try:
         return exact_expected_payoff(config, pursuer), tolerance, False
     except EnumerationCapError:
-        payoffs = np.empty(mc_draws)
-        for draw in range(mc_draws):
-            evader = EquilibriumEvader(theta_stream(config.seed, draw, config.n + 1))
-            payoffs[draw] = simulate(config, pursuer, evader).outcome.payoff
+        payoffs = _sampled_payoffs(config, pursuer, mc_draws, config.seed)
         stderr = float(payoffs.std(ddof=1)) / math.sqrt(mc_draws) if mc_draws > 1 else math.inf
         return float(payoffs.mean()), max(tolerance, 4.0 * stderr), True
 
@@ -461,8 +456,7 @@ def evader_guarantee_check(
         notes.append(f"{skipped} grid points beyond the pursuer's reach skipped")
     if sampled_mode:
         notes.append(f"enumeration cap hit; sampled with {mc_draws} draws, 4-stderr margin")
-    return _finish_report("evader", len(deviations), tolerance, worst,
-                          _cap_failures(failures), notes)
+    return _finish_report("evader", len(deviations), tolerance, worst, failures, notes)
 
 
 def jensen_expected_distance(rho: float, tau: float, nu: float,
@@ -545,8 +539,7 @@ def jensen_bound_check(
         "alpha2-free floor holds at every point" if corrected_ok
         else "alpha2-free floor also violated (unexpected)",
     ]
-    return _finish_report("jensen", len(points), tolerance, worst,
-                          _cap_failures(failures), notes)
+    return _finish_report("jensen", len(points), tolerance, worst, failures, notes)
 
 
 def jensen_random_sweep(n: int = 1000, seed: int = 0,
@@ -570,8 +563,7 @@ def jensen_random_sweep(n: int = 1000, seed: int = 0,
         "alpha2-free floor holds at every sampled point" if corrected_ok
         else "alpha2-free floor also violated (unexpected)",
     ]
-    return _finish_report("jensen_random", len(points), tolerance, worst,
-                          _cap_failures(failures), notes)
+    return _finish_report("jensen_random", len(points), tolerance, worst, failures, notes)
 
 
 def _capture_trial(args):
@@ -615,13 +607,10 @@ def capture_time_bound_check(
         t_f=2.0 * time_bound, n=max_senses + 2,
         phi=PayoffSpec("hinge", r_cap), seed=seed,
     )
-    entries: list[tuple[str, object]] = [
+    entries = _with_scripted(config, [
         ("radial", RadialEvader()),
         ("stationary", ScriptedEvader(())),
-    ]
-    for i in range(len(entries), max(trials, len(entries))):
-        entries.append((f"scripted_{i}", random_piecewise_evader(config, trial_rng(seed, i))))
-    entries = entries[:max(trials, 2)]
+    ], trials, seed)
 
     rows = _map_trials(_capture_trial, [(config, ev) for _, ev in entries])
     worst = -math.inf
@@ -646,8 +635,7 @@ def capture_time_bound_check(
             failures.append(f"stationary: capture {capture_time:.12g} != {rho0 - r_cap:.12g}")
     notes = [f"time bound {time_bound:.12g}, sensing bound {max_senses}, "
              f"travel budget {max_travel:.12g}"]
-    return _finish_report("capture_time", len(entries), tolerance, worst,
-                          _cap_failures(failures), notes)
+    return _finish_report("capture_time", len(entries), tolerance, worst, failures, notes)
 
 
 class OracleResult(NamedTuple):
@@ -662,56 +650,16 @@ def dense_oracle(config: GameConfig, pursuer, evader, dt: float = 1e-3,
                  max_events: int = 200_000) -> OracleResult:
     """Brute-force cross-check of the engine by dense time sampling.
 
-    Shares only the strategy-query protocol with the engine; capture is
-    detected by scanning distances on the global grid j * dt (plus each
-    event instant), never by root finding.  A capture the engine reports at
-    time t is seen by the oracle no later than t + dt whenever the approach
-    is transversal.
+    Plays the game through the engine's own event loop (strategy queries,
+    action checks, review scheduling) but detects capture only by scanning
+    distances on the global grid j * dt (plus each event instant), never by
+    root finding.  A capture the engine reports at time t is seen by the
+    oracle no later than t + dt whenever the approach is transversal.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    log = SensingLog.initial(config)
-    t = 0.0
-    x_p, x_e = config.x_p0, config.x_e0
-    continuous = bool(getattr(pursuer, "continuous_observation", False))
 
-    def finish(captured, capture_time, x_p, x_e):
-        distance = x_p.dist(x_e)
-        return OracleResult(
-            captured, capture_time, distance,
-            payoff_of(config.phi, captured, distance),
-            log.times[1:],
-        )
-
-    if x_p.dist(x_e) <= config.r_cap:
-        return finish(True, 0.0, x_p, x_e)
-
-    events = 0
-    while t < config.t_f - 1e-15:
-        events += 1
-        if events > max_events:
-            raise RuntimeError(f"oracle event budget {max_events} exhausted at t={t}")
-        for _ in range(3):
-            p_action = pursuer.act(PursuerInfo(t, x_p, log, config, x_e if continuous else None))
-            if not p_action.sense_now:
-                break
-            log = log.record(t, x_e, x_p)
-        else:
-            raise RuntimeError(f"pursuer kept requesting fixes at t={t}")
-        e_action = evader.act(EvaderInfo(t, x_e, x_p, log, config))
-
-        if p_action.speed_fraction > 0.0:
-            v_p = p_action.heading * float(p_action.speed_fraction)
-        else:
-            v_p = Vec2(0.0, 0.0)
-        v_e = e_action.velocity
-
-        t_next = config.t_f
-        for review in (p_action.review_at, e_action.review_at):
-            if review is not None and t + 1e-15 < review < t_next:
-                t_next = review
-        t_next = min(t_next, config.t_f)
-
+    def first_contact(t, t_next, x_p, v_p, x_e, v_e):
         j_lo = math.floor(t / dt) + 1
         j_hi = math.floor(t_next / dt)
         sample_times = np.arange(j_lo, j_hi + 1, dtype=float) * dt
@@ -722,17 +670,11 @@ def dense_oracle(config: GameConfig, pursuer, evader, dt: float = 1e-3,
         dx = (x_e.x - x_p.x) + (v_e.x - v_p.x) * offsets
         dy = (x_e.y - x_p.y) + (v_e.y - v_p.y) * offsets
         hit = np.nonzero(np.hypot(dx, dy) <= config.r_cap)[0]
-        if hit.size:
-            t_hit = float(sample_times[hit[0]])
-            step = t_hit - t
-            return finish(True, t_hit, x_p + v_p * step, x_e + v_e * step)
+        return float(sample_times[hit[0]]) if hit.size else None
 
-        step = t_next - t
-        x_p = x_p + v_p * step
-        x_e = x_e + v_e * step
-        t = t_next
-
-    return finish(False, None, x_p, x_e)
+    outcome = _play(config, pursuer, evader, max_events, first_contact)[0]
+    return OracleResult(outcome.captured, outcome.capture_time, outcome.final_distance,
+                        outcome.payoff, outcome.sensing_times)
 
 
 def _radial_speed_at_capture(result) -> float:
@@ -835,8 +777,7 @@ def oracle_agreement_check(n_scenarios: int = 50, dt: float = 1e-3, seed: int = 
     notes = [f"{accepted} scenarios ({captures} captures), dt={dt:g}"]
     if accepted < n_scenarios:
         failures.append(f"generator accepted only {accepted} of {n_scenarios} scenarios")
-    return _finish_report("oracle", accepted, tolerance, worst,
-                          _cap_failures(failures), notes)
+    return _finish_report("oracle", accepted, tolerance, worst, failures, notes)
 
 
 SUITE_NAMES = ("pursuer", "evader", "jensen", "capture_time", "oracle")

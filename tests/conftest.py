@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from intermittent_pursuit import GameConfig, PayoffSpec, Vec2
+from intermittent_pursuit import EvaderAction, GameConfig, PayoffSpec, PursuerAction, Vec2
 
 
 def make_config(
@@ -27,6 +27,20 @@ def make_config(
         phi=PayoffSpec(kind=kind, r_cap=r_cap),
         seed=seed,
     )
+
+
+class CrookedHeading:
+    """Malformed pursuer: its heading has norm 2."""
+
+    def act(self, info):
+        return PursuerAction(Vec2(2.0, 0.0), 1.0)
+
+
+class Speeder:
+    """Malformed evader: speed 1, above every admissible cap nu < 1."""
+
+    def act(self, info):
+        return EvaderAction(Vec2(1.0, 0.0))
 
 
 @pytest.fixture

@@ -9,7 +9,6 @@ from intermittent_pursuit import (
     BudgetViolationError,
     ContinuousPursuer,
     EnumerationCapError,
-    EvaderAction,
     Outcome,
     PursuerAction,
     RadialEvader,
@@ -28,7 +27,7 @@ from intermittent_pursuit import (
     value_bound,
     write_trajectory_csv,
 )
-from conftest import make_config
+from conftest import CrookedHeading, Speeder, make_config
 
 
 class TestSegmentsAndTrajectories:
@@ -189,15 +188,6 @@ class TestSimulate:
 
     def test_malformed_actions_rejected(self):
         cfg = make_config(rho0=2.0, t_f=5.0, n=0)
-
-        class CrookedHeading:
-            def act(self, info):
-                return PursuerAction(Vec2(2.0, 0.0), 1.0)
-
-        class Speeder:
-            def act(self, info):
-                return EvaderAction(Vec2(1.0, 0.0))
-
         with pytest.raises(ValueError, match="unit vector"):
             simulate(cfg, CrookedHeading(), RadialEvader())
         with pytest.raises(ValueError, match="exceeds"):

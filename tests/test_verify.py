@@ -5,12 +5,15 @@ import math
 import pytest
 
 from intermittent_pursuit import (
+    ArrivalSensingPursuer,
+    ContinuousPursuer,
     DeviationGrid,
     EarlyWaitPursuer,
     EndpointDeviationPursuer,
     FirstLegDeviationPursuer,
     GameConfig,
     PayoffSpec,
+    RadialEvader,
     ScriptedEvader,
     SUITE_NAMES,
     THREADS_ENV_VAR,
@@ -35,7 +38,7 @@ from intermittent_pursuit import (
     trial_rng,
     worker_count,
 )
-from conftest import make_config
+from conftest import CrookedHeading, Speeder, make_config
 
 
 class TestWorkerCount:
@@ -250,6 +253,22 @@ class TestDenseOracle:
         cfg = make_config()
         with pytest.raises(ValueError):
             dense_oracle(cfg, WaitingPursuer(), ScriptedEvader(()), dt=0.0)
+
+    @pytest.mark.parametrize("pursuer, evader, message", [
+        (CrookedHeading(), RadialEvader(), "unit vector"),
+        (ArrivalSensingPursuer(), Speeder(), "exceeds"),
+    ], ids=["crooked_heading", "speeder"])
+    def test_malformed_actions_rejected(self, pursuer, evader, message):
+        # the oracle plays through the engine's loop, so it runs the same checks
+        cfg = make_config(rho0=2.0, t_f=5.0, n=0)
+        for play in (simulate, dense_oracle):
+            with pytest.raises(ValueError, match=message):
+                play(cfg, pursuer, evader)
+
+    def test_event_budget(self):
+        cfg = make_config(rho0=3.0, t_f=3.0, n=0)
+        with pytest.raises(RuntimeError, match="event budget"):
+            dense_oracle(cfg, ContinuousPursuer(review_dt=1e-4), RadialEvader(), max_events=100)
 
     def test_agreement_suite(self):
         report = oracle_agreement_check(n_scenarios=6, dt=1e-3, seed=0)
