@@ -93,9 +93,7 @@ from .verify import (
     EarlyWaitPursuer,
     EndpointDeviationPursuer,
     FirstLegDeviationPursuer,
-    OracleResult,
     SUITE_NAMES,
-    THREADS_ENV_VAR,
     VerificationReport,
     capture_time_bound_check,
     default_evader_config,
@@ -110,7 +108,6 @@ from .verify import (
     pursuer_guarantee_check,
     random_piecewise_evader,
     run_suite,
-    worker_count,
 )
 
 __version__ = "0.1.0"

@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 _TIME_EPS = 1e-15
+# Most orientation draws whose 2^draws branches are enumerated exactly.
+_ENUMERATION_CAP = 20
 
 
 class Segment(NamedTuple):
@@ -220,7 +222,7 @@ def _evader_velocity(action: EvaderAction, config: GameConfig) -> Vec2:
     return velocity
 
 
-def _check_review(review_at, t: float):
+def _check_review(review_at):
     if review_at is not None and not (isinstance(review_at, (int, float))
                                       and math.isfinite(review_at)):
         raise ValueError(f"review_at must be a finite time or None, got {review_at!r}")
@@ -264,12 +266,12 @@ def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact):
             log = log.record(t, x_e, x_p)
         else:
             raise RuntimeError(f"pursuer kept requesting fixes at t={t}")
-        _check_review(p_action.review_at, t)
+        _check_review(p_action.review_at)
         v_p = _pursuer_velocity(p_action)
 
         e_info = EvaderInfo(t, x_e, x_p, log, config)
         e_action = evader.act(e_info)
-        _check_review(e_action.review_at, t)
+        _check_review(e_action.review_at)
         v_e = _evader_velocity(e_action, config)
 
         t_next = config.t_f
@@ -321,22 +323,18 @@ def simulate(config: GameConfig, pursuer, evader, max_events: int = 200_000) -> 
     )
 
 
-def enumerate_branch_payoffs(
-    config: GameConfig,
-    pursuer,
-    enumeration_cap: int = 20,
-) -> tuple[float, ...]:
+def enumerate_branch_payoffs(config: GameConfig, pursuer) -> tuple[float, ...]:
     """Payoff of every orientation branch, in lexicographic (+1 first) order.
 
     The randomized evader draws one +/-1 orientation per inter-fix interval;
     with budget n there are at most n + 1 intervals, hence 2^(n+1) branches,
     each equally likely.  Raises EnumerationCapError when that exponent
-    exceeds ``enumeration_cap``.
+    exceeds 20.
     """
     draws = config.n + 1
-    if draws > enumeration_cap:
+    if draws > _ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"2^{draws} branches exceed the enumeration cap 2^{enumeration_cap}"
+            f"2^{draws} branches exceed the enumeration cap 2^{_ENUMERATION_CAP}"
         )
     payoffs = []
     for thetas in itertools.product((1, -1), repeat=draws):
@@ -345,22 +343,16 @@ def enumerate_branch_payoffs(
     return tuple(payoffs)
 
 
-def exact_expected_payoff(config: GameConfig, pursuer, enumeration_cap: int = 20) -> float:
+def exact_expected_payoff(config: GameConfig, pursuer) -> float:
     """Expected payoff against the orientation-randomizing evader, exactly.
 
     Enumerates every orientation branch and averages; no sampling error.
     """
-    payoffs = enumerate_branch_payoffs(config, pursuer, enumeration_cap)
+    payoffs = enumerate_branch_payoffs(config, pursuer)
     return math.fsum(payoffs) / len(payoffs)
 
 
-def mc_expected_payoff(
-    config: GameConfig,
-    pursuer,
-    n_draws: int,
-    seed: int,
-    enumeration_cap: int = 20,
-) -> float:
+def mc_expected_payoff(config: GameConfig, pursuer, n_draws: int, seed: int) -> float:
     """Monte Carlo estimate over the same branches, for sanity checks.
 
     Draws a multinomial over the enumerated branches instead of replaying
@@ -368,7 +360,7 @@ def mc_expected_payoff(
     """
     if n_draws <= 0:
         raise ValueError(f"n_draws must be positive, got {n_draws}")
-    payoffs = enumerate_branch_payoffs(config, pursuer, enumeration_cap)
+    payoffs = enumerate_branch_payoffs(config, pursuer)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     counts = rng.multinomial(n_draws, [1.0 / len(payoffs)] * len(payoffs))
     return float(np.dot(counts, payoffs) / n_draws)

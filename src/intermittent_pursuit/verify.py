@@ -4,19 +4,13 @@ Each suite returns one or more ``VerificationReport`` objects.  A report
 fails when some trial violates its bound by more than the tolerance, or
 when a structural expectation (captured vs. not, sensing counts, path
 lengths) breaks.  Suites are deterministic given their seed.
-
-Set the environment variable ``INTERMITTENT_PURSUIT_THREADS`` to an integer
-above 1 to spread independent trials over worker processes; results do not
-depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +22,7 @@ from .core import (
     line_of_sight,
     perpendicular,
 )
-from .engine import _play, _sampled_payoffs, exact_expected_payoff, simulate
+from .engine import Outcome, _play, _sampled_payoffs, exact_expected_payoff, simulate
 from .strategies import (
     ARRIVAL_TOL,
     ArrivalSensingPursuer,
@@ -45,8 +39,6 @@ from .strategies import (
 from .value import sense_count_arrival, travel_budget, value_bound
 
 __all__ = [
-    "THREADS_ENV_VAR",
-    "worker_count",
     "VerificationReport",
     "EndpointDeviationPursuer",
     "EarlyWaitPursuer",
@@ -60,7 +52,6 @@ __all__ = [
     "jensen_bound_check",
     "jensen_random_sweep",
     "capture_time_bound_check",
-    "OracleResult",
     "dense_oracle",
     "oracle_agreement_check",
     "SUITE_NAMES",
@@ -69,30 +60,12 @@ __all__ = [
     "default_evader_config",
 ]
 
-THREADS_ENV_VAR = "INTERMITTENT_PURSUIT_THREADS"
-
-
-def worker_count() -> int:
-    """Worker process count from the environment; 1 means run serially."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be at least 1, got {value}")
-    return value
-
-
-def _map_trials(fn, args_list):
-    """Run fn over args, serially or on a process pool, preserving order."""
-    workers = worker_count()
-    if workers <= 1 or len(args_list) <= 1:
-        return [fn(args) for args in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list, chunksize=max(1, len(args_list) // (4 * workers))))
+# A trial fails when it violates its bound by more than this.
+_TOLERANCE = 1e-9
+# Simulations behind the sampled expectation used beyond the enumeration cap.
+_MC_DRAWS = 10**6
+# Most constant-velocity legs of a random piecewise evader.
+_MAX_LEGS = 5
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,14 +92,14 @@ class VerificationReport:
         }
 
 
-def _finish_report(suite, trials, tolerance, worst, failures, notes) -> VerificationReport:
+def _finish_report(suite, trials, worst, failures, notes) -> VerificationReport:
     """Build a report; failures past the twelfth are kept only as a count."""
     if len(failures) > 12:
         failures = failures[:12] + [f"... and {len(failures) - 12} more"]
     return VerificationReport(
         suite=suite,
         trials=trials,
-        tolerance=tolerance,
+        tolerance=_TOLERANCE,
         worst_violation=worst,
         failures=tuple(failures),
         passed=not failures,
@@ -233,10 +206,9 @@ class FirstLegDeviationPursuer:
         return PursuerAction(None, 0.0, sense_now=True)
 
 
-def random_piecewise_evader(config: GameConfig, rng: np.random.Generator,
-                            max_legs: int = 5) -> ScriptedEvader:
+def random_piecewise_evader(config: GameConfig, rng: np.random.Generator) -> ScriptedEvader:
     """Random feasible piecewise-constant evader for adversarial sweeps."""
-    n_legs = int(rng.integers(1, max_legs + 1))
+    n_legs = int(rng.integers(1, _MAX_LEGS + 1))
     ends = np.sort(rng.uniform(0.0, config.t_f, size=n_legs))
     legs = []
     last = 0.0
@@ -281,16 +253,10 @@ def _with_scripted(config: GameConfig, entries: list, trials: int, seed: int) ->
     return entries[:count]
 
 
-def _guarantee_payoff(args):
-    config, evader = args
-    return simulate(config, WaitingPursuer(), evader).outcome.payoff
-
-
 def pursuer_guarantee_check(
     config: Optional[GameConfig] = None,
     trials: int = 200,
     seed: int = 0,
-    tolerance: float = 1e-9,
 ) -> VerificationReport:
     """Check that the waiting pursuer's payoff never exceeds the closed-form bound.
 
@@ -310,19 +276,19 @@ def pursuer_guarantee_check(
         ("dodge_seeded", EquilibriumEvader(theta_stream(seed, 0, draws))),
     ], trials, seed)
 
-    payoffs = _map_trials(_guarantee_payoff, [(config, ev) for _, ev in entries])
     worst = -math.inf
     failures = []
-    for (label, _), payoff in zip(entries, payoffs):
+    for label, evader in entries:
+        payoff = simulate(config, WaitingPursuer(), evader).outcome.payoff
         violation = payoff - bound.value
         worst = max(worst, violation)
-        if violation > tolerance:
+        if violation > _TOLERANCE:
             failures.append(f"{label}: payoff {payoff:.12g} exceeds bound {bound.value:.12g}")
     notes = [
         f"bound {bound.value:.12g} ({bound.case_tag}, tight={bound.is_tight})",
         f"worst payoff {worst + bound.value:.12g}",
     ]
-    return _finish_report("pursuer", len(entries), tolerance, worst, failures, notes)
+    return _finish_report("pursuer", len(entries), worst, failures, notes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -358,22 +324,20 @@ class DeviationGrid:
         )
 
 
-def _expected_with_tolerance(config, pursuer, tolerance, mc_draws):
+def _expected_with_tolerance(config, pursuer):
     """Exact branch expectation, or a sampled mean with a 4-standard-error margin."""
     try:
-        return exact_expected_payoff(config, pursuer), tolerance, False
+        return exact_expected_payoff(config, pursuer), _TOLERANCE, False
     except EnumerationCapError:
-        payoffs = _sampled_payoffs(config, pursuer, mc_draws, config.seed)
-        stderr = float(payoffs.std(ddof=1)) / math.sqrt(mc_draws) if mc_draws > 1 else math.inf
-        return float(payoffs.mean()), max(tolerance, 4.0 * stderr), True
+        payoffs = _sampled_payoffs(config, pursuer, _MC_DRAWS, config.seed)
+        stderr = float(payoffs.std(ddof=1)) / math.sqrt(_MC_DRAWS)
+        return float(payoffs.mean()), max(_TOLERANCE, 4.0 * stderr), True
 
 
 def evader_guarantee_check(
     config: Optional[GameConfig] = None,
     grid: Optional[DeviationGrid] = None,
     early_wait_count: int = 0,
-    tolerance: float = 1e-9,
-    mc_draws: int = 10**6,
 ) -> VerificationReport:
     """Check the randomizing evader's expected payoff against pursuer deviations.
 
@@ -398,7 +362,7 @@ def evader_guarantee_check(
     notes = [f"bound {bound.value:.12g} ({bound.case_tag}, tight={bound.is_tight})"]
     if not bound.is_tight:
         notes.append("bound is not tight at this state; evader guarantee not claimed, skipping")
-        return _finish_report("evader", 0, tolerance, 0.0, [], notes)
+        return _finish_report("evader", 0, 0.0, [], notes)
 
     deviations: list[tuple[str, object]] = []
     skipped = 0
@@ -436,7 +400,7 @@ def evader_guarantee_check(
     prescribed_gap = None
     failures = []
     for label, pursuer in deviations:
-        expected, tol, sampled = _expected_with_tolerance(config, pursuer, tolerance, mc_draws)
+        expected, tol, sampled = _expected_with_tolerance(config, pursuer)
         sampled_mode = sampled_mode or sampled
         violation = bound.value - expected
         worst = max(worst, violation)
@@ -455,8 +419,8 @@ def evader_guarantee_check(
     if skipped:
         notes.append(f"{skipped} grid points beyond the pursuer's reach skipped")
     if sampled_mode:
-        notes.append(f"enumeration cap hit; sampled with {mc_draws} draws, 4-stderr margin")
-    return _finish_report("evader", len(deviations), tolerance, worst, failures, notes)
+        notes.append(f"enumeration cap hit; sampled with {_MC_DRAWS} draws, 4-stderr margin")
+    return _finish_report("evader", len(deviations), worst, failures, notes)
 
 
 def jensen_expected_distance(rho: float, tau: float, nu: float,
@@ -478,7 +442,7 @@ def jensen_claimed_floor(rho: float, tau: float, nu: float,
     return math.sqrt((rho - alpha1) ** 2 + (nu * tau) ** 2 + alpha2 ** 2)
 
 
-def _jensen_scan(points, tolerance):
+def _jensen_scan(points):
     worst = -math.inf
     worst_point = None
     corrected_ok = True
@@ -490,7 +454,7 @@ def _jensen_scan(points, tolerance):
         violation = claimed - expected
         if violation > worst:
             worst, worst_point = violation, (rho, tau, nu, a1, a2)
-        if violation > tolerance:
+        if violation > _TOLERANCE:
             failures.append(
                 f"(rho={rho:.6g}, tau={tau:.6g}, nu={nu:.6g}, a1={a1:.6g}, a2={a2:.6g}): "
                 f"E[g] {expected:.12g} < claimed floor {claimed:.12g}"
@@ -509,7 +473,6 @@ def jensen_bound_check(
     tau: float = 2.0,
     nu: float = 0.7,
     alphas: Optional[Sequence[tuple[float, float]]] = None,
-    tolerance: float = 1e-9,
 ) -> VerificationReport:
     """Test the claimed expected-distance floor pointwise on a deviation grid.
 
@@ -529,7 +492,7 @@ def jensen_bound_check(
         if math.hypot(a1, a2) > tau * (1.0 + 1e-12):
             raise ValueError(f"deviation ({a1}, {a2}) is beyond the pursuer's reach {tau}")
     points = [(rho, tau, nu, a1, a2) for a1, a2 in alphas]
-    worst, worst_point, corrected_ok, equality_ok, failures = _jensen_scan(points, tolerance)
+    worst, worst_point, corrected_ok, equality_ok, failures = _jensen_scan(points)
     notes = [
         "claimed floor equals the RMS of the two branch distances; the mean of",
         "unequal branches is strictly below their RMS, so alpha2 != 0 breaks it",
@@ -539,11 +502,10 @@ def jensen_bound_check(
         "alpha2-free floor holds at every point" if corrected_ok
         else "alpha2-free floor also violated (unexpected)",
     ]
-    return _finish_report("jensen", len(points), tolerance, worst, failures, notes)
+    return _finish_report("jensen", len(points), worst, failures, notes)
 
 
-def jensen_random_sweep(n: int = 1000, seed: int = 0,
-                        tolerance: float = 1e-9) -> VerificationReport:
+def jensen_random_sweep(n: int = 1000, seed: int = 0) -> VerificationReport:
     """Randomized version of the pointwise floor test."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -557,25 +519,13 @@ def jensen_random_sweep(n: int = 1000, seed: int = 0,
         a2_cap = math.sqrt(max(tau * tau - a1 * a1, 0.0))
         a2 = float(rng.uniform(-a2_cap, a2_cap))
         points.append((rho, tau, nu, a1, a2))
-    worst, worst_point, corrected_ok, _, failures = _jensen_scan(points, tolerance)
+    worst, worst_point, corrected_ok, _, failures = _jensen_scan(points)
     notes = [
         f"worst violation {worst:.12g} at {worst_point}",
         "alpha2-free floor holds at every sampled point" if corrected_ok
         else "alpha2-free floor also violated (unexpected)",
     ]
-    return _finish_report("jensen_random", len(points), tolerance, worst, failures, notes)
-
-
-def _capture_trial(args):
-    config, evader = args
-    result = simulate(config, ArrivalSensingPursuer(), evader)
-    outcome = result.outcome
-    return (
-        outcome.captured,
-        outcome.capture_time,
-        len(outcome.sensing_times),
-        result.pursuer_trajectory.path_length(),
-    )
+    return _finish_report("jensen_random", len(points), worst, failures, notes)
 
 
 def capture_time_bound_check(
@@ -584,7 +534,6 @@ def capture_time_bound_check(
     r_cap: float = 0.1,
     trials: int = 100,
     seed: int = 0,
-    tolerance: float = 1e-9,
 ) -> VerificationReport:
     """Check the arrival-sensing pursuer's capture-time and budget guarantees.
 
@@ -612,16 +561,19 @@ def capture_time_bound_check(
         ("stationary", ScriptedEvader(())),
     ], trials, seed)
 
-    rows = _map_trials(_capture_trial, [(config, ev) for _, ev in entries])
     worst = -math.inf
     failures = []
-    for (label, _), (captured, capture_time, senses, path) in zip(entries, rows):
-        if not captured:
+    for label, evader in entries:
+        result = simulate(config, ArrivalSensingPursuer(), evader)
+        if not result.outcome.captured:
             failures.append(f"{label}: no capture within twice the bound")
             continue
+        capture_time = result.outcome.capture_time
+        senses = len(result.outcome.sensing_times)
+        path = result.pursuer_trajectory.path_length()
         violation = capture_time - time_bound
         worst = max(worst, violation)
-        if violation > tolerance:
+        if violation > _TOLERANCE:
             failures.append(f"{label}: capture at {capture_time:.12g} after bound {time_bound:.12g}")
         if senses > max_senses:
             failures.append(f"{label}: {senses} sensings exceed the budget bound {max_senses}")
@@ -635,19 +587,11 @@ def capture_time_bound_check(
             failures.append(f"stationary: capture {capture_time:.12g} != {rho0 - r_cap:.12g}")
     notes = [f"time bound {time_bound:.12g}, sensing bound {max_senses}, "
              f"travel budget {max_travel:.12g}"]
-    return _finish_report("capture_time", len(entries), tolerance, worst, failures, notes)
-
-
-class OracleResult(NamedTuple):
-    captured: bool
-    capture_time: Optional[float]
-    final_distance: float
-    payoff: float
-    sensing_times: tuple[float, ...]
+    return _finish_report("capture_time", len(entries), worst, failures, notes)
 
 
 def dense_oracle(config: GameConfig, pursuer, evader, dt: float = 1e-3,
-                 max_events: int = 200_000) -> OracleResult:
+                 max_events: int = 200_000) -> Outcome:
     """Brute-force cross-check of the engine by dense time sampling.
 
     Plays the game through the engine's own event loop (strategy queries,
@@ -672,9 +616,7 @@ def dense_oracle(config: GameConfig, pursuer, evader, dt: float = 1e-3,
         hit = np.nonzero(np.hypot(dx, dy) <= config.r_cap)[0]
         return float(sample_times[hit[0]]) if hit.size else None
 
-    outcome = _play(config, pursuer, evader, max_events, first_contact)[0]
-    return OracleResult(outcome.captured, outcome.capture_time, outcome.final_distance,
-                        outcome.payoff, outcome.sensing_times)
+    return _play(config, pursuer, evader, max_events, first_contact)[0]
 
 
 def _radial_speed_at_capture(result) -> float:
@@ -727,8 +669,8 @@ def _oracle_scenario(seed: int, cand: int):
     return config, pursuer, evader
 
 
-def oracle_agreement_check(n_scenarios: int = 50, dt: float = 1e-3, seed: int = 0,
-                           tolerance: float = 1e-9) -> VerificationReport:
+def oracle_agreement_check(n_scenarios: int = 50, dt: float = 1e-3,
+                           seed: int = 0) -> VerificationReport:
     """Engine vs. dense oracle on randomized scenarios.
 
     Requires: same captured flag; capture times within [0, dt] of each
@@ -770,14 +712,14 @@ def oracle_agreement_check(n_scenarios: int = 50, dt: float = 1e-3, seed: int = 
         else:
             gap = abs(orc.payoff - eng.outcome.payoff)
             worst = max(worst, gap)
-            if gap > tolerance:
+            if gap > _TOLERANCE:
                 failures.append(f"{label}: payoff gap {gap:.6g}")
             if orc.sensing_times != eng.outcome.sensing_times:
                 failures.append(f"{label}: sensing schedules differ")
     notes = [f"{accepted} scenarios ({captures} captures), dt={dt:g}"]
     if accepted < n_scenarios:
         failures.append(f"generator accepted only {accepted} of {n_scenarios} scenarios")
-    return _finish_report("oracle", accepted, tolerance, worst, failures, notes)
+    return _finish_report("oracle", accepted, worst, failures, notes)
 
 
 SUITE_NAMES = ("pursuer", "evader", "jensen", "capture_time", "oracle")
@@ -794,9 +736,7 @@ def run_suite(
     if name == "pursuer":
         return [pursuer_guarantee_check(config, trials=trials, seed=seed)]
     if name == "evader":
-        cfg = config or default_evader_config()
-        early = 8 if cfg.n >= 1 else 0
-        return [evader_guarantee_check(cfg, early_wait_count=early)]
+        return [evader_guarantee_check(config, early_wait_count=8)]
     if name == "jensen":
         return [jensen_bound_check(), jensen_random_sweep(trials, seed)]
     if name == "capture_time":

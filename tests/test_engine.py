@@ -245,7 +245,7 @@ class TestExpectations:
         with pytest.raises(EnumerationCapError):
             enumerate_branch_payoffs(cfg, WaitingPursuer())
         with pytest.raises(EnumerationCapError):
-            exact_expected_payoff(make_config(n=3), WaitingPursuer(), enumeration_cap=3)
+            exact_expected_payoff(cfg, WaitingPursuer())
 
     def test_mc_agrees_with_exact(self):
         cfg = make_config(n=1, t_f=4.0)

@@ -16,7 +16,6 @@ from intermittent_pursuit import (
     RadialEvader,
     ScriptedEvader,
     SUITE_NAMES,
-    THREADS_ENV_VAR,
     Vec2,
     VerificationReport,
     WaitingPursuer,
@@ -36,27 +35,8 @@ from intermittent_pursuit import (
     run_suite,
     simulate,
     trial_rng,
-    worker_count,
 )
 from conftest import CrookedHeading, Speeder, make_config
-
-
-class TestWorkerCount:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        assert worker_count() == 1
-
-    def test_reads_env(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "3")
-        assert worker_count() == 3
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "many")
-        with pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.setenv(THREADS_ENV_VAR, "0")
-        with pytest.raises(ValueError):
-            worker_count()
 
 
 class TestReport:
@@ -180,13 +160,6 @@ class TestGuaranteeChecks:
             capture_time_bound_check(nu=1.2)
         with pytest.raises(ValueError):
             capture_time_bound_check(rho0=0.05, r_cap=0.1)
-
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        serial = pursuer_guarantee_check(trials=8, seed=4)
-        monkeypatch.setenv(THREADS_ENV_VAR, "2")
-        pooled = pursuer_guarantee_check(trials=8, seed=4)
-        assert pooled == serial
 
 
 class TestJensenSuite:
