@@ -15,7 +15,6 @@ evader is queried after the pursuer, and sees the updated log.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -330,16 +329,34 @@ def enumerate_branch_payoffs(config: GameConfig, pursuer) -> tuple[float, ...]:
     with budget n there are at most n + 1 intervals, hence 2^(n+1) branches,
     each equally likely.  Raises EnumerationCapError when that exponent
     exceeds 20.
+
+    The evader reads ``thetas[k]`` only after the k-th fix, so a game whose
+    final log holds d entries depends on ``thetas[:d]`` alone.  The walk
+    therefore plays each theta prefix padded with +1s and branches only
+    while the prefix is shorter than d; a leaf at prefix length L stands
+    for its 2^(n+1-L) branches and fills that many slots.  Each leaf costs
+    one simulation, and the full lexicographic tuple of 2^(n+1) payoffs is
+    returned, equal to playing every branch.
     """
     draws = config.n + 1
     if draws > _ENUMERATION_CAP:
         raise EnumerationCapError(
             f"2^{draws} branches exceed the enumeration cap 2^{_ENUMERATION_CAP}"
         )
-    payoffs = []
-    for thetas in itertools.product((1, -1), repeat=draws):
-        result = simulate(config, pursuer, EquilibriumEvader(thetas))
-        payoffs.append(result.outcome.payoff)
+    payoffs: list[float] = []
+
+    def play(prefix: tuple[int, ...]) -> SimulationResult:
+        padded = prefix + (1,) * (draws - len(prefix))
+        return simulate(config, pursuer, EquilibriumEvader(padded))
+
+    def walk(prefix: tuple[int, ...], result: SimulationResult) -> None:
+        if len(prefix) >= min(len(result.log.times), draws):
+            payoffs.extend([result.outcome.payoff] * 2 ** (draws - len(prefix)))
+            return
+        walk(prefix + (1,), result)  # the +1 child plays the same padded tuple
+        walk(prefix + (-1,), play(prefix + (-1,)))
+
+    walk((), play(()))
     return tuple(payoffs)
 
 
@@ -356,7 +373,8 @@ def mc_expected_payoff(config: GameConfig, pursuer, n_draws: int, seed: int) -> 
     """Monte Carlo estimate over the same branches, for sanity checks.
 
     Draws a multinomial over the enumerated branches instead of replaying
-    ``n_draws`` games, so a million-draw estimate costs 2^(n+1) simulations.
+    ``n_draws`` games, so a million-draw estimate costs one branch
+    enumeration, at most 2^(n+1) simulations.
     """
     if n_draws <= 0:
         raise ValueError(f"n_draws must be positive, got {n_draws}")

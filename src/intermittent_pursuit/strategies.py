@@ -286,7 +286,9 @@ class EquilibriumEvader:
     There the evader flees along the anchor bearing; everywhere else it
     moves perpendicular to it, with the orientation taken from an explicit
     +/-1 stream indexed by interval, so outcomes can be enumerated exactly.
-    Config name: ``equilibrium``.
+    ``thetas[k]`` is read only after the k-th fix (``thetas[0]`` from the
+    free fix at t = 0 on), so a game whose final log holds d entries
+    depends on ``thetas[:d]`` alone.  Config name: ``equilibrium``.
     """
 
     def __init__(self, thetas: Sequence[int]):

@@ -3,8 +3,15 @@
 import json
 
 import pytest
+from hypothesis import settings
 
 from intermittent_pursuit import EvaderAction, GameConfig, PayoffSpec, PursuerAction, Vec2
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a Tier-1 result depends on the code alone; some examples
+# play dozens of games, hence no per-example deadline.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def make_config(

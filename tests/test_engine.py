@@ -1,23 +1,34 @@
 """Tests for the event-driven simulator and expectation helpers."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from intermittent_pursuit import (
     ArrivalSensingPursuer,
     BudgetViolationError,
     ContinuousPursuer,
+    EarlyWaitPursuer,
+    EndpointDeviationPursuer,
     EnumerationCapError,
+    EquilibriumEvader,
+    FirstLegDeviationPursuer,
+    GameConfig,
     Outcome,
+    PayoffSpec,
     PursuerAction,
     RadialEvader,
     ScriptedEvader,
     Segment,
+    SelfTriggeredPursuer,
     Trajectory,
     Vec2,
     WaitingPursuer,
     detect_capture,
+    engine,
     enumerate_branch_payoffs,
     exact_expected_payoff,
     mc_expected_payoff,
@@ -131,7 +142,7 @@ class TestSimulate:
         cfg = make_config()  # rho=1, tau=5, ell=2
         bound = value_bound(1.0, 5.0, 2, cfg.phi, cfg.nu)
         for thetas in ((1, 1, 1), (1, -1, 1), (-1, 1, -1)):
-            result = simulate(cfg, WaitingPursuer(), _equilibrium(thetas))
+            result = simulate(cfg, WaitingPursuer(), EquilibriumEvader(thetas))
             out = result.outcome
             assert not out.captured
             assert out.payoff == pytest.approx(bound.value, rel=1e-12)
@@ -211,10 +222,33 @@ class TestSimulate:
         assert miss["capture_time"] is None
 
 
-def _equilibrium(thetas):
-    from intermittent_pursuit import EquilibriumEvader
+def _product_reference(config, pursuer):
+    """Longhand enumeration: one simulation per theta tuple, lexicographic."""
+    return tuple(
+        simulate(config, pursuer, EquilibriumEvader(thetas)).outcome.payoff
+        for thetas in itertools.product((1, -1), repeat=config.n + 1)
+    )
 
-    return EquilibriumEvader(thetas)
+
+def _result_or_error(fn, *args):
+    """The value of fn(*args), or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the comparison is on the exception type
+        return type(exc)
+
+
+# One member of every pursuer family the evader suite enumerates against;
+# the out-of-reach endpoint raises on every branch.
+_PURSUER_FAMILIES = {
+    "thm1": WaitingPursuer(),
+    "prop1": ArrivalSensingPursuer(),
+    "aleem": SelfTriggeredPursuer(),
+    "endpoint": EndpointDeviationPursuer(1.0, 0.3),
+    "endpoint_out_of_reach": EndpointDeviationPursuer(4.0, 4.0),
+    "first_leg": FirstLegDeviationPursuer(0.2, 0.8),
+    "early_wait": EarlyWaitPursuer(0.5),
+}
 
 
 class TestExpectations:
@@ -246,6 +280,59 @@ class TestExpectations:
             enumerate_branch_payoffs(cfg, WaitingPursuer())
         with pytest.raises(EnumerationCapError):
             exact_expected_payoff(cfg, WaitingPursuer())
+
+    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("t_f", (2.0, 5.0))
+    @pytest.mark.parametrize("family", sorted(_PURSUER_FAMILIES))
+    def test_tree_matches_product_reference(self, family, t_f, n):
+        cfg = make_config(n=n, t_f=t_f)
+        pursuer = _PURSUER_FAMILIES[family]
+        expected = _result_or_error(_product_reference, cfg, pursuer)
+        assert _result_or_error(enumerate_branch_payoffs, cfg, pursuer) == expected
+
+    @given(
+        nu=st.floats(0.2, 0.9),
+        rho=st.floats(0.05, 3.0),
+        angle=st.floats(0.0, 2.0 * math.pi),
+        t_f=st.floats(0.0, 6.0),
+        n=st.integers(0, 4),
+        pursuer=st.one_of(
+            st.sampled_from([WaitingPursuer(), ArrivalSensingPursuer(),
+                             SelfTriggeredPursuer()]),
+            st.builds(EndpointDeviationPursuer, st.floats(-1.0, 6.0), st.floats(-3.0, 3.0)),
+            st.builds(FirstLegDeviationPursuer, st.floats(-1.0, 1.0), st.floats(0.0, 1.0)),
+            st.builds(EarlyWaitPursuer, st.floats(0.01, 5.0)),
+        ),
+    )
+    def test_tree_matches_product_property(self, nu, rho, angle, t_f, n, pursuer):
+        cfg = GameConfig(
+            nu=nu, r_cap=0.1, x_p0=Vec2(0.0, 0.0),
+            x_e0=Vec2(rho * math.cos(angle), rho * math.sin(angle)),
+            t_f=t_f, n=n, phi=PayoffSpec("hinge", 0.1),
+        )
+        expected = _result_or_error(_product_reference, cfg, pursuer)
+        assert _result_or_error(enumerate_branch_payoffs, cfg, pursuer) == expected
+
+    def test_enumeration_simulates_only_read_prefixes(self, monkeypatch):
+        calls = 0
+        real_simulate = engine.simulate
+
+        def counting_simulate(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real_simulate(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "simulate", counting_simulate)
+        cfg = make_config(n=4)
+        assert value_bound(1.0, 5.0, 4, cfg.phi, cfg.nu).case_tag == "wait_region"
+        # never senses, so only thetas[0] is read: one game per orientation
+        payoffs = enumerate_branch_payoffs(cfg, EndpointDeviationPursuer(1.0, 0.3))
+        assert len(payoffs) == 2**5
+        assert calls == 2
+        calls = 0
+        payoffs = enumerate_branch_payoffs(cfg, WaitingPursuer())
+        assert len(payoffs) == 2**5
+        assert calls <= 2**5
 
     def test_mc_agrees_with_exact(self):
         cfg = make_config(n=1, t_f=4.0)
