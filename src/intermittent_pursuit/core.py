@@ -53,7 +53,7 @@ class BudgetViolationError(RuntimeError):
 
 
 class EnumerationCapError(ValueError):
-    """Exact enumeration was requested over too many randomized intervals."""
+    """Too many prefix-tree leaves to simulate, or branches to expand."""
 
 
 class RegionNotCoveredError(ValueError):

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 _TIME_EPS = 1e-15
-# Most orientation draws whose 2^draws branches are enumerated exactly.
+# Most prefix-tree leaves simulated, and branches expanded, is 2^_ENUMERATION_CAP.
 _ENUMERATION_CAP = 20
 
 
@@ -322,21 +322,41 @@ def simulate(config: GameConfig, pursuer, evader, max_events: int = 200_000) -> 
     )
 
 
+def _leaves(config: GameConfig, pursuer) -> list[tuple[float, int]]:
+    """``(payoff, depth)`` of each theta-prefix-tree leaf, depth first, +1 first.
+
+    The evader reads ``thetas[k]`` only after the k-th fix, so a game whose
+    log ends with d entries depends on ``thetas[:d]`` alone.  Each prefix is
+    played padded with +1s (its +1 child replays the same tuple) and branches
+    while shorter than min(d, n + 1); a leaf at depth L has weight 2^-L.
+    Raises EnumerationCapError rather than simulate a leaf past the cap.
+    """
+    draws = config.n + 1
+    played, leaves = 0, []
+    stack: list = [((), None)]  # (prefix, its game if already played)
+    while stack:
+        prefix, result = stack.pop()
+        if result is None:
+            if played == 2 ** _ENUMERATION_CAP:
+                raise EnumerationCapError(f"{played} leaves simulated and the prefix tree "
+                                          f"has more; the cap is 2^{_ENUMERATION_CAP}")
+            played += 1
+            padded = prefix + (1,) * (draws - len(prefix))
+            result = simulate(config, pursuer, EquilibriumEvader(padded))
+        if len(prefix) >= min(len(result.log.times), draws):
+            leaves.append((result.outcome.payoff, len(prefix)))
+        else:
+            stack += [(prefix + (-1,), None), (prefix + (1,), result)]
+    return leaves
+
+
 def enumerate_branch_payoffs(config: GameConfig, pursuer) -> tuple[float, ...]:
     """Payoff of every orientation branch, in lexicographic (+1 first) order.
 
-    The randomized evader draws one +/-1 orientation per inter-fix interval;
-    with budget n there are at most n + 1 intervals, hence 2^(n+1) branches,
-    each equally likely.  Raises EnumerationCapError when that exponent
-    exceeds 20.
-
-    The evader reads ``thetas[k]`` only after the k-th fix, so a game whose
-    final log holds d entries depends on ``thetas[:d]`` alone.  The walk
-    therefore plays each theta prefix padded with +1s and branches only
-    while the prefix is shorter than d; a leaf at prefix length L stands
-    for its 2^(n+1-L) branches and fills that many slots.  Each leaf costs
-    one simulation, and the full lexicographic tuple of 2^(n+1) payoffs is
-    returned, equal to playing every branch.
+    With budget n the evader draws n + 1 orientations, so there are 2^(n+1)
+    equally likely branches: the expansion of the prefix-tree leaves, a leaf
+    at depth L filling 2^(n+1-L) slots.  Raises EnumerationCapError when
+    n + 1 exceeds 20.
     """
     draws = config.n + 1
     if draws > _ENUMERATION_CAP:
@@ -344,37 +364,25 @@ def enumerate_branch_payoffs(config: GameConfig, pursuer) -> tuple[float, ...]:
             f"2^{draws} branches exceed the enumeration cap 2^{_ENUMERATION_CAP}"
         )
     payoffs: list[float] = []
-
-    def play(prefix: tuple[int, ...]) -> SimulationResult:
-        padded = prefix + (1,) * (draws - len(prefix))
-        return simulate(config, pursuer, EquilibriumEvader(padded))
-
-    def walk(prefix: tuple[int, ...], result: SimulationResult) -> None:
-        if len(prefix) >= min(len(result.log.times), draws):
-            payoffs.extend([result.outcome.payoff] * 2 ** (draws - len(prefix)))
-            return
-        walk(prefix + (1,), result)  # the +1 child plays the same padded tuple
-        walk(prefix + (-1,), play(prefix + (-1,)))
-
-    walk((), play(()))
+    for payoff, depth in _leaves(config, pursuer):
+        payoffs.extend([payoff] * 2 ** (draws - depth))
     return tuple(payoffs)
 
 
 def exact_expected_payoff(config: GameConfig, pursuer) -> float:
     """Expected payoff against the orientation-randomizing evader, exactly.
 
-    Enumerates every orientation branch and averages; no sampling error.
+    The fsum of the leaf payoffs scaled by 2^-depth: the scaling is exact and
+    fsum rounds once, so this equals the mean over all 2^(n+1) branches.
+    Raises EnumerationCapError past 2^20 simulated leaves.
     """
-    payoffs = enumerate_branch_payoffs(config, pursuer)
-    return math.fsum(payoffs) / len(payoffs)
+    return math.fsum(math.ldexp(payoff, -depth) for payoff, depth in _leaves(config, pursuer))
 
 
 def mc_expected_payoff(config: GameConfig, pursuer, n_draws: int, seed: int) -> float:
-    """Monte Carlo estimate over the same branches, for sanity checks.
+    """Monte Carlo estimate: a multinomial over the enumerated branches.
 
-    Draws a multinomial over the enumerated branches instead of replaying
-    ``n_draws`` games, so a million-draw estimate costs one branch
-    enumeration, at most 2^(n+1) simulations.
+    A cross-check that no package code calls, kept for the benchmark's tracer.
     """
     if n_draws <= 0:
         raise ValueError(f"n_draws must be positive, got {n_draws}")
@@ -384,24 +392,18 @@ def mc_expected_payoff(config: GameConfig, pursuer, n_draws: int, seed: int) -> 
     return float(np.dot(counts, payoffs) / n_draws)
 
 
-def _sampled_payoffs(config: GameConfig, pursuer, n_draws: int, seed: int) -> np.ndarray:
-    """Payoff of one simulated game per draw against the randomizing evader."""
+def sampled_expected_payoff(config: GameConfig, pursuer, n_draws: int, seed: int) -> float:
+    """Plain Monte Carlo, one simulated game per draw.
+
+    A cross-check that no package code calls, kept for the benchmark's tracer.
+    """
+    if n_draws <= 0:
+        raise ValueError(f"n_draws must be positive, got {n_draws}")
     payoffs = np.empty(n_draws)
     for draw in range(n_draws):
         thetas = theta_stream(seed, draw, config.n + 1)
         payoffs[draw] = simulate(config, pursuer, EquilibriumEvader(thetas)).outcome.payoff
-    return payoffs
-
-
-def sampled_expected_payoff(config: GameConfig, pursuer, n_draws: int, seed: int) -> float:
-    """Plain Monte Carlo, one simulation per draw.
-
-    For budgets beyond the enumeration cap, where the branch count makes
-    exact averaging infeasible.
-    """
-    if n_draws <= 0:
-        raise ValueError(f"n_draws must be positive, got {n_draws}")
-    return float(_sampled_payoffs(config, pursuer, n_draws, seed).mean())
+    return float(payoffs.mean())
 
 
 def write_trajectory_csv(path, result: SimulationResult) -> None:

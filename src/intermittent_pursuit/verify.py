@@ -15,14 +15,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    EnumerationCapError,
     GameConfig,
     PayoffSpec,
     Vec2,
     line_of_sight,
     perpendicular,
 )
-from .engine import Outcome, _play, _sampled_payoffs, exact_expected_payoff, simulate
+from .engine import Outcome, _play, exact_expected_payoff, simulate
 from .strategies import (
     ARRIVAL_TOL,
     ArrivalSensingPursuer,
@@ -62,8 +61,6 @@ __all__ = [
 
 # A trial fails when it violates its bound by more than this.
 _TOLERANCE = 1e-9
-# Simulations behind the sampled expectation used beyond the enumeration cap.
-_MC_DRAWS = 10**6
 # Most constant-velocity legs of a random piecewise evader.
 _MAX_LEGS = 5
 
@@ -324,16 +321,6 @@ class DeviationGrid:
         )
 
 
-def _expected_with_tolerance(config, pursuer):
-    """Exact branch expectation, or a sampled mean with a 4-standard-error margin."""
-    try:
-        return exact_expected_payoff(config, pursuer), _TOLERANCE, False
-    except EnumerationCapError:
-        payoffs = _sampled_payoffs(config, pursuer, _MC_DRAWS, config.seed)
-        stderr = float(payoffs.std(ddof=1)) / math.sqrt(_MC_DRAWS)
-        return float(payoffs.mean()), max(_TOLERANCE, 4.0 * stderr), True
-
-
 def evader_guarantee_check(
     config: Optional[GameConfig] = None,
     grid: Optional[DeviationGrid] = None,
@@ -348,8 +335,7 @@ def evader_guarantee_check(
     sensings (budget permitting), and the prescribed waiting pursuer
     itself.  In the no-budget stop case the endpoint equal to the initial
     separation along the bearing must achieve the bound exactly.
-    Expectations are exact branch enumerations; beyond the enumeration cap
-    a sampled estimate with a 4-standard-error margin is used instead.
+    Expectations are exact sums over the orientation branches.
     """
     config = config or default_evader_config()
     rho0 = config.initial_distance
@@ -393,24 +379,22 @@ def evader_guarantee_check(
     if check_optimum:
         deviations.append(("endpoint_opt", EndpointDeviationPursuer(rho0, 0.0)))
 
-    sampled_mode = False
     worst = -math.inf
     min_payoff = math.inf
     argmin = None
     prescribed_gap = None
     failures = []
     for label, pursuer in deviations:
-        expected, tol, sampled = _expected_with_tolerance(config, pursuer)
-        sampled_mode = sampled_mode or sampled
+        expected = exact_expected_payoff(config, pursuer)
         violation = bound.value - expected
         worst = max(worst, violation)
         if expected < min_payoff:
             min_payoff, argmin = expected, label
-        if violation > tol:
+        if violation > _TOLERANCE:
             failures.append(f"{label}: E[payoff] {expected:.12g} below bound {bound.value:.12g}")
         if label == "prescribed":
             prescribed_gap = expected - bound.value
-        if label == "endpoint_opt" and abs(expected - bound.value) > tol:
+        if label == "endpoint_opt" and abs(expected - bound.value) > _TOLERANCE:
             failures.append(f"endpoint_opt: E[payoff] {expected:.12g} does not tie the bound "
                             f"{bound.value:.12g}")
     notes.append(f"minimum E[payoff] {min_payoff:.12g} at {argmin}")
@@ -418,8 +402,6 @@ def evader_guarantee_check(
         notes.append(f"prescribed pursuer E[payoff] - bound = {prescribed_gap:.3g}")
     if skipped:
         notes.append(f"{skipped} grid points beyond the pursuer's reach skipped")
-    if sampled_mode:
-        notes.append(f"enumeration cap hit; sampled with {_MC_DRAWS} draws, 4-stderr margin")
     return _finish_report("evader", len(deviations), worst, failures, notes)
 
 

@@ -23,11 +23,14 @@ import numpy as np
 
 from intermittent_pursuit import (
     ArrivalSensingPursuer,
+    ContinuousPursuer,
     EndpointDeviationPursuer,
     GameConfig,
     PayoffSpec,
+    RadialEvader,
     ScriptedEvader,
     Vec2,
+    WaitingPursuer,
     build_evader,
     capture_time_bound_check,
     default_evader_config,
@@ -425,6 +428,28 @@ def test_criterion_7_degradation_metrics():
         if abs(spare.deltas[spare.n_star]) > 1e-12:
             failures.append(f"nu={nu}: residual degradation {spare.deltas[spare.n_star]:.3g} "
                             f"with a full-length horizon")
+
+        # the table played: continuous pursuit of the radial evader pays the
+        # continuous payoff, and the waiting pursuer's exact expectation
+        # against the randomizing evader pays the value bound at every budget
+        def played_config(n):
+            return GameConfig(nu=nu, r_cap=r_cap, x_p0=Vec2(0.0, 0.0),
+                              x_e0=Vec2(rho0, 0.0), t_f=t_f, n=n, phi=HINGE)
+
+        chased = simulate(played_config(0), ContinuousPursuer(), RadialEvader()).outcome.payoff
+        if abs(chased - rep.continuous_payoff) > 1e-12 * abs(rep.continuous_payoff):
+            failures.append(f"nu={nu}: continuous pursuit pays {chased}, "
+                            f"table says {rep.continuous_payoff}")
+        played = []
+        for n in range(n_star + 1):
+            expected = exact_expected_payoff(played_config(n), WaitingPursuer())
+            bound = value_bound(rho0, t_f, n, HINGE, nu).value
+            if abs(expected - bound) > 1e-12 * abs(bound):
+                failures.append(f"nu={nu}, n={n}: waiting pursuer E[payoff] {expected} "
+                                f"!= value bound {bound}")
+            played.append(expected - chased)
+        if any(later > earlier for earlier, later in zip(played, played[1:])):
+            failures.append(f"nu={nu}: played deltas increase with n: {played}")
     _verdict(7, "degradation metrics", failures)
 
 

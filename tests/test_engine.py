@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intermittent_pursuit import (
@@ -27,6 +27,8 @@ from intermittent_pursuit import (
     Trajectory,
     Vec2,
     WaitingPursuer,
+    build_evader,
+    build_pursuer,
     detect_capture,
     engine,
     enumerate_branch_payoffs,
@@ -187,6 +189,41 @@ class TestSimulate:
         with pytest.raises(BudgetViolationError):
             simulate(cfg, GreedySensor(), RadialEvader())
 
+    @settings(max_examples=20)
+    @given(n=st.integers(0, 6), dt=st.floats(0.05, 1.0))
+    def test_budget_violation_on_the_extra_request_property(self, n, dt):
+        # n + 1 review times before the horizon: the last request is one too many
+        pursuer = _SenseEachReview(dt)
+        with pytest.raises(BudgetViolationError):
+            simulate(make_config(rho0=2.0, t_f=(n + 1.5) * dt, n=n), pursuer, RadialEvader())
+        assert pursuer.requests == n + 1
+        # n review times: every request is granted
+        pursuer = _SenseEachReview(dt)
+        result = simulate(make_config(rho0=2.0, t_f=(n + 0.5) * dt, n=n), pursuer,
+                          RadialEvader())
+        assert pursuer.requests == n
+        assert len(result.outcome.sensing_times) == n
+
+    @settings(max_examples=20)
+    @given(
+        nu=st.floats(0.2, 0.9),
+        rho=st.floats(0.05, 3.0),
+        t_f=st.floats(0.0, 6.0),
+        n=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+        pursuer=st.sampled_from(("continuous", "prop1", "thm1", "aleem")),
+        evader=st.sampled_from(("radial", "equilibrium")),
+    )
+    def test_rerun_gives_identical_outcome_property(self, nu, rho, t_f, n, seed,
+                                                    pursuer, evader):
+        cfg = make_config(nu=nu, rho0=rho, t_f=t_f, n=n, seed=seed)
+
+        def play():
+            return simulate(cfg, build_pursuer(pursuer, cfg),
+                            build_evader(evader, cfg)).outcome
+
+        assert play() == play()
+
     def test_double_sense_same_instant_rejected(self):
         cfg = make_config(rho0=2.0, t_f=5.0, n=5)
 
@@ -222,6 +259,21 @@ class TestSimulate:
         assert miss["capture_time"] is None
 
 
+class _SenseEachReview:
+    """Holds still and asks for a fix at each of its review times dt, 2 dt, ..."""
+
+    def __init__(self, dt):
+        self.dt = self.due = dt
+        self.requests = 0
+
+    def act(self, info):
+        if info.time >= self.due:
+            self.due = info.time + self.dt
+            self.requests += 1
+            return PursuerAction(None, 0.0, sense_now=True)
+        return PursuerAction(None, 0.0, review_at=self.due)
+
+
 def _product_reference(config, pursuer):
     """Longhand enumeration: one simulation per theta tuple, lexicographic."""
     return tuple(
@@ -236,6 +288,28 @@ def _result_or_error(fn, *args):
         return fn(*args)
     except Exception as exc:  # the comparison is on the exception type
         return type(exc)
+
+
+def _assert_matches_product_reference(config, pursuer):
+    """Branch tuple and expectation equal (==) the longhand reference's."""
+    expected = _result_or_error(_product_reference, config, pursuer)
+    assert _result_or_error(enumerate_branch_payoffs, config, pursuer) == expected
+    if not isinstance(expected, type):
+        expected = math.fsum(expected) / len(expected)
+    assert _result_or_error(exact_expected_payoff, config, pursuer) == expected
+
+
+def _count_simulate_calls(monkeypatch) -> list:
+    """Route engine.simulate through a counter; returns the one-cell count."""
+    calls = [0]
+    real_simulate = engine.simulate
+
+    def counting_simulate(*args, **kwargs):
+        calls[0] += 1
+        return real_simulate(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "simulate", counting_simulate)
+    return calls
 
 
 # One member of every pursuer family the evader suite enumerates against;
@@ -274,21 +348,36 @@ class TestExpectations:
             bound.value, rel=1e-10
         )
 
-    def test_enumeration_cap(self):
-        cfg = make_config(n=25)
-        with pytest.raises(EnumerationCapError):
-            enumerate_branch_payoffs(cfg, WaitingPursuer())
-        with pytest.raises(EnumerationCapError):
+    def test_enumeration_cap(self, monkeypatch):
+        # the full branch tuple stays capped at 2^20 entries
+        with pytest.raises(EnumerationCapError, match=r"2\^26 branches"):
+            enumerate_branch_payoffs(make_config(n=25), WaitingPursuer())
+        # the expectation is capped on simulated leaves: the n = 4 wait-region
+        # game has 32 of them, so a cap of 2^3 stops it after 8 games
+        cfg = make_config(n=4)
+        calls = _count_simulate_calls(monkeypatch)
+        monkeypatch.setattr(engine, "_ENUMERATION_CAP", 3)
+        with pytest.raises(EnumerationCapError, match="8 leaves simulated"):
             exact_expected_payoff(cfg, WaitingPursuer())
+        assert calls[0] == 8
+        monkeypatch.setattr(engine, "_ENUMERATION_CAP", 5)
+        exact_expected_payoff(cfg, WaitingPursuer())
+
+    def test_leaf_expectation_beyond_the_tuple_cap(self, monkeypatch):
+        # never senses, so two leaves at depth 1 whatever the budget
+        pursuer = EndpointDeviationPursuer(1.0, 0.3)
+        small = exact_expected_payoff(make_config(n=1), pursuer)
+        calls = _count_simulate_calls(monkeypatch)
+        for n in (20, 30):
+            calls[0] = 0
+            assert exact_expected_payoff(make_config(n=n), pursuer) == small
+            assert calls[0] == 2
 
     @pytest.mark.parametrize("n", range(5))
     @pytest.mark.parametrize("t_f", (2.0, 5.0))
     @pytest.mark.parametrize("family", sorted(_PURSUER_FAMILIES))
     def test_tree_matches_product_reference(self, family, t_f, n):
-        cfg = make_config(n=n, t_f=t_f)
-        pursuer = _PURSUER_FAMILIES[family]
-        expected = _result_or_error(_product_reference, cfg, pursuer)
-        assert _result_or_error(enumerate_branch_payoffs, cfg, pursuer) == expected
+        _assert_matches_product_reference(make_config(n=n, t_f=t_f), _PURSUER_FAMILIES[family])
 
     @given(
         nu=st.floats(0.2, 0.9),
@@ -310,29 +399,20 @@ class TestExpectations:
             x_e0=Vec2(rho * math.cos(angle), rho * math.sin(angle)),
             t_f=t_f, n=n, phi=PayoffSpec("hinge", 0.1),
         )
-        expected = _result_or_error(_product_reference, cfg, pursuer)
-        assert _result_or_error(enumerate_branch_payoffs, cfg, pursuer) == expected
+        _assert_matches_product_reference(cfg, pursuer)
 
     def test_enumeration_simulates_only_read_prefixes(self, monkeypatch):
-        calls = 0
-        real_simulate = engine.simulate
-
-        def counting_simulate(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return real_simulate(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "simulate", counting_simulate)
+        calls = _count_simulate_calls(monkeypatch)
         cfg = make_config(n=4)
         assert value_bound(1.0, 5.0, 4, cfg.phi, cfg.nu).case_tag == "wait_region"
         # never senses, so only thetas[0] is read: one game per orientation
         payoffs = enumerate_branch_payoffs(cfg, EndpointDeviationPursuer(1.0, 0.3))
         assert len(payoffs) == 2**5
-        assert calls == 2
-        calls = 0
+        assert calls[0] == 2
+        calls[0] = 0
         payoffs = enumerate_branch_payoffs(cfg, WaitingPursuer())
         assert len(payoffs) == 2**5
-        assert calls <= 2**5
+        assert calls[0] <= 2**5
 
     def test_mc_agrees_with_exact(self):
         cfg = make_config(n=1, t_f=4.0)
