@@ -1,0 +1,120 @@
+"""Golden outputs: sha256 digests of CLI output files on fixed inputs.
+
+A refactor that claims to keep behaviour must leave every digest here
+unchanged: the ``simulate --out`` outcome JSON and trajectory CSV of each
+pursuer against three evaders, a ``value-grid`` CSV, and the report JSON
+of three ``verify`` suites.  Manifests are not hashed (they carry a wall
+time).  Regenerate a digest only for an intended change of output.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from intermittent_pursuit import PURSUER_NAMES
+from intermittent_pursuit.cli import main
+
+# Integer end times and velocity components, as a hand-written JSON file has them.
+SCRIPTED = {"name": "scripted", "legs": [[1, [0, 0]], [2, [0.5, -0.25]], [4, [0, 0.7]]]}
+EVADERS = {"radial": "radial", "equilibrium": "equilibrium", "scripted": SCRIPTED}
+
+GAME = {
+    "nu": 0.7, "r_cap": 0.1, "x_p0": [0.0, 0.0], "x_e0": [1.2, 0.9],
+    "t_f": 6.0, "n": 3, "phi": {"kind": "hinge"}, "seed": 7,
+}
+
+SIMULATE_DIGESTS = {
+    "continuous/equilibrium": (
+        "87be9d4e5f12c9b139f83d23230d285a233f720f2c3f20397d091657ac05b36b",
+        "046d298899466276d19e71d2106f01092cf616ff93d4f4db1d1e9955a8ca857c",
+    ),
+    "continuous/radial": (
+        "2f1299b54151feada84adf41dd71588c37eb343b1f91e50d7849d770c42d6dbb",
+        "79fa4355e6bf0d45d20e47cf9130bb5d6ae102da8664a15b5946ac9724f18cda",
+    ),
+    "continuous/scripted": (
+        "be56c29535c90c8591863fb01b224829f0b372d0dcfdbdda9ba4db5fd76ef53d",
+        "6c6a7a7dece05c9c260a1ca5d5dc912533a34136fcad4dd4e466e49e0e95d546",
+    ),
+    "prop1/equilibrium": (
+        "e1b762a76bde6d50b888c7f0de433b9970c750de84009e9d0c3f2852f58ce9f8",
+        "838d8119d11ed1c9e73b7e3f79ca403ca761ca32b7b9ecfde714088f2e825f5a",
+    ),
+    "prop1/radial": (
+        "2e75ff31dcf25a5db514ceea942ddcc8de7af3e3651e5480048af08f48d08143",
+        "84d930220414cc1be83c237781ebff7c0f5302b419b40e281f1a4e02628a66df",
+    ),
+    "prop1/scripted": (
+        "9641639a5ce316598aa1e91310bd66dc3b292a94a20b63f6730ccea704449944",
+        "056a91abf9a8857d0f3631651821f64addc0b1ab69071dffa031a8425d4a7f4d",
+    ),
+    "thm1/equilibrium": (
+        "ba333ab3b5d1ca8774bb0daf421375460a90743119a8a38aa887109e5fc1b372",
+        "c2cbbce3b48c591161d0f6a073e0e97ed7b21b8cb5ed6936df29ff2b9a261b60",
+    ),
+    "thm1/radial": (
+        "06686397fbaf0d8641a9f24ce375d4394490e2158b8b1003f3e85998bdce89a1",
+        "6442f14ed0942c57f1c8d7e968d54993653815578aa101c1a45a3cdb7d3a1961",
+    ),
+    "thm1/scripted": (
+        "a1dab4db447ae9fd6e7f827dffd1dd948835f75427487ff5baf5532a6ccc6b18",
+        "c398b4dca4b19e935a9bbc6d8f26462d94bd50f83d474a3755ba84662ced4982",
+    ),
+    "aleem/equilibrium": (
+        "f24a0d06cf64f277968cbb0b78b1728dfcf4f96e1b7dcc9cc4b79e782952f49a",
+        "879114f2c920e5bc4e08fe89dbfae4f40fe4baa01058326fe4d6288acbf3f407",
+    ),
+    "aleem/radial": (
+        "5036fa6dca63ffcaa7d2f5a1deeccbf34ce5d6363885340e7658994ae0bffd9f",
+        "227ffbd19ef23ff678c75a79a2cb0b49ec53f17f8c58fc6f8872ac9adebb92d5",
+    ),
+    "aleem/scripted": (
+        "df58a90080fc53d9d6ac511e44a4e53a3bd4e9d7c4917de212a1287fce4a15e5",
+        "34178987c4c90de633567df5fe99c223ae365655490bfe19ef95d30c0c231719",
+    ),
+}
+
+OTHER_DIGESTS = {
+    "value-grid": "b0c87ab65ecf7a6779d1ac2f9402e6f2cee01f3b3c1ed56faee7f43e4bcf2cbc",
+    "verify-capture_time": "bab5fbbb5b3e9cdcb1ea070e78ee86b76fc61711cf8d325c935b304551ac3dc8",
+    "verify-evader": "17c3cd7b3cbfabcb7c37ff0baf2284f7bd63abe08b24558872a05547a1493a0d",
+    "verify-pursuer": "538838272ebce499f990eec3e3957face518ecae585e6548c59216002013c2f9",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _run(capsys, *argv) -> None:
+    assert main(list(argv)) in (0, 1)
+    capsys.readouterr()  # the printed lines are checked in test_cli.py
+
+
+@pytest.mark.parametrize("pursuer", PURSUER_NAMES)
+@pytest.mark.parametrize("evader", sorted(EVADERS))
+def test_simulate_outputs(pursuer, evader, tmp_path, capsys):
+    config = tmp_path / "game.json"
+    config.write_text(json.dumps(dict(GAME, pursuer=pursuer, evader=EVADERS[evader])))
+    base = tmp_path / "run"
+    _run(capsys, "simulate", "--config", str(config), "--out", str(base))
+    got = (_sha256(tmp_path / "run.outcome.json"), _sha256(tmp_path / "run.trajectory.csv"))
+    assert got == SIMULATE_DIGESTS[f"{pursuer}/{evader}"]
+
+
+OTHER_RUNS = {
+    "value-grid": ["value-grid", "--nu", "0.7", "--r-cap", "0.1", "--rho-max", "3",
+                   "--rho-steps", "20", "--tau-max", "5", "--tau-steps", "20",
+                   "--ell", "0:4"],
+    "verify-pursuer": ["verify", "pursuer", "--trials", "50"],
+    "verify-evader": ["verify", "evader"],
+    "verify-capture_time": ["verify", "capture_time", "--trials", "20"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_RUNS))
+def test_other_outputs(name, tmp_path, capsys):
+    out = tmp_path / "out"
+    _run(capsys, *OTHER_RUNS[name], "--out", str(out))
+    assert _sha256(out) == OTHER_DIGESTS[name]
