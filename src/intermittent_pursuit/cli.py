@@ -1,8 +1,8 @@
 """Command-line front end: simulations, table exports, verification, degradation.
 
 Commands: ``simulate``, ``value-grid``, ``compare-nmax``, ``degradation``,
-``verify``.  Exit codes: 0 on success, 1 when a verification or assertion
-fails, 2 on usage or configuration errors.  Every file-writing run also
+``verify``.  Exit codes: 0 on success, 1 when a verification suite fails,
+2 on usage or configuration errors.  Every file-writing run also
 writes a ``<out>.manifest.json`` recording the command, resolved inputs,
 seed, and tool version; re-running from a manifest's inputs reproduces the
 outputs byte for byte.  All numbers are printed with 9 significant digits.
@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .core import GameConfig, PayoffSpec, RegionNotCoveredError, Vec2, fmt_g
+from .core import GameConfig, PayoffSpec, RegionNotCoveredError, fmt_g
 from .engine import simulate, write_trajectory_csv
 from .strategies import build_evader, build_pursuer
 from .value import (
@@ -262,7 +262,6 @@ def cmd_degradation(args, argv) -> int:
     nus = _parse_nu_list(args.nu)
     phi_kind = args.phi
     rows = []
-    violated = False
     for nu in nus:
         t_f = args.tf_frac * (args.rho0 - args.r_cap) / (1.0 - nu)
         phi = PayoffSpec(phi_kind, args.r_cap)
@@ -273,15 +272,6 @@ def cmd_degradation(args, argv) -> int:
             continue
         for n, delta in enumerate(report.deltas):
             beta = report.betas[n] if n < len(report.betas) else None
-            if beta is not None:
-                floor = beta * report.continuous_payoff
-                if delta < floor - 1e-9 * max(1.0, abs(floor)):
-                    violated = True
-                    print(
-                        f"violation: nu={fmt_g(nu)} n={n}: delta {fmt_g(delta)} "
-                        f"below beta*continuous_payoff {fmt_g(floor)}",
-                        file=sys.stderr,
-                    )
             rows.append([
                 fmt_g(nu), str(n),
                 fmt_g(beta) if beta is not None else "",
@@ -300,7 +290,7 @@ def cmd_degradation(args, argv) -> int:
     }
     _write_manifest(args.out, "degradation", argv, config, args.seed, [args.out], started)
     print(f"{len(rows)} rows -> {args.out}")
-    return 1 if violated else 0
+    return 0
 
 
 def cmd_verify(args, argv) -> int:

@@ -6,7 +6,9 @@ as the players come within ``r_cap`` of each other.  ``normalize_speeds`` maps
 a game stated in physical units into this frame by dilating time with the
 pursuer's top speed; lengths are unchanged.
 
-All types here are immutable values and safe to share between workers.
+All types here are immutable values.  Validity is checked where a value
+enters the game (``GameConfig`` here, each strategy action in the engine),
+not inside every vector operation.
 """
 
 from __future__ import annotations
@@ -62,16 +64,10 @@ class RegionNotCoveredError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Vec2:
-    """Immutable planar vector with finite float components."""
+    """Immutable planar vector of float components; it checks nothing (see above)."""
 
     x: float
     y: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"components must be finite, got ({self.x}, {self.y})")
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
@@ -163,6 +159,8 @@ class GameConfig:
             raise ValueError(f"r_cap must be positive and finite, got {self.r_cap}")
         if not isinstance(self.x_p0, Vec2) or not isinstance(self.x_e0, Vec2):
             raise ValueError("x_p0 and x_e0 must be Vec2 instances")
+        if not all(map(math.isfinite, (self.x_p0.x, self.x_p0.y, self.x_e0.x, self.x_e0.y))):
+            raise ValueError(f"x_p0 and x_e0 must be finite, got {self.x_p0} and {self.x_e0}")
         if not (math.isfinite(self.t_f) and self.t_f >= 0):
             raise ValueError(f"t_f must be nonnegative and finite, got {self.t_f}")
         if not isinstance(self.n, int) or self.n < 0:
@@ -271,6 +269,6 @@ def perpendicular(r: Vec2, orientation: int) -> Vec2:
     """
     if orientation not in (1, -1):
         raise ValueError(f"orientation must be +1 or -1, got {orientation!r}")
-    if abs(r.norm() - 1.0) > 1e-9:
+    if not abs(r.norm() - 1.0) <= 1e-9:
         raise ValueError(f"r must be a unit vector, got norm {r.norm()}")
     return Vec2(-r.y * orientation, r.x * orientation)

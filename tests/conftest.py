@@ -37,17 +37,23 @@ def make_config(
 
 
 class CrookedHeading:
-    """Malformed pursuer: its heading has norm 2."""
+    """Malformed pursuer: full speed along a heading of norm 2, or the one given."""
+
+    def __init__(self, heading: Vec2 = Vec2(2.0, 0.0)):
+        self.heading = heading
 
     def act(self, info):
-        return PursuerAction(Vec2(2.0, 0.0), 1.0)
+        return PursuerAction(self.heading, 1.0)
 
 
 class Speeder:
-    """Malformed evader: speed 1, above every admissible cap nu < 1."""
+    """Malformed evader: speed 1, above every admissible cap nu < 1, or the velocity given."""
+
+    def __init__(self, velocity: Vec2 = Vec2(1.0, 0.0)):
+        self.velocity = velocity
 
     def act(self, info):
-        return EvaderAction(Vec2(1.0, 0.0))
+        return EvaderAction(self.velocity)
 
 
 @pytest.fixture

@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface (in-process via main)."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from intermittent_pursuit import DegradationReport, cli
 from intermittent_pursuit.cli import main
 from conftest import default_config_payload
 
@@ -115,6 +117,15 @@ class TestSimulate:
         assert code == 2
         assert "nu" in err
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_position_is_config_error(self, bad, config_json, capsys):
+        # json writes NaN and Infinity, and reads them back
+        path = config_json(default_config_payload(x_e0=[bad, 0.0]))
+        code, out, err = run_cli("simulate", "--config", path, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+
 
 class TestValueGrid:
     def test_single_point(self, tmp_path, capsys):
@@ -219,6 +230,20 @@ class TestDegradation:
         assert code == 0
         assert "warning" in err and "skipped" in err
         assert len((tmp_path / "deg.csv").read_text().strip().splitlines()) == 1
+
+    def test_floor_violation_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # DegradationReport refuses a table below its own floor: exit 2, no CSV
+        def below_floor(rho0, t_f, nu, phi):
+            return DegradationReport(n_star=0, deltas=(0.1,), betas=(1.0,),
+                                     continuous_payoff=0.5)
+
+        monkeypatch.setattr(cli, "degradation_report", below_floor)
+        out = tmp_path / "deg.csv"
+        code, _, err = run_cli("degradation", "--nu", "0.7", "--out", str(out),
+                               capsys=capsys)
+        assert code == 2
+        assert err.startswith("error: degradation floor violated")
+        assert not out.exists()
 
     def test_bad_nu_list(self, tmp_path, capsys):
         out = str(tmp_path / "deg.csv")

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,7 @@ from intermittent_pursuit import (
     RawSpeeds,
     SlowPursuerError,
     Vec2,
+    build_evader,
     fmt_g,
     line_of_sight,
     normalize_speeds,
@@ -38,23 +40,13 @@ class TestVec2:
         assert Vec2(3.0, 4.0).norm() == 5.0
         assert Vec2(1.0, 1.0).dist(Vec2(4.0, 5.0)) == 5.0
 
-    def test_coerces_ints_to_float(self):
-        v = Vec2(1, 2)
-        assert isinstance(v.x, float) and isinstance(v.y, float)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Vec2(math.nan, 0.0)
-        with pytest.raises(ValueError):
-            Vec2(0.0, math.inf)
-
     def test_immutable(self):
         v = Vec2(1.0, 2.0)
         with pytest.raises(AttributeError):
             v.x = 3.0
 
     def test_picklable(self):
-        # worker pools ship these across process boundaries
+        # frozen slotted dataclasses still pickle and compare by value
         v = Vec2(1.5, -2.5)
         assert pickle.loads(pickle.dumps(v)) == v
 
@@ -123,6 +115,28 @@ class TestGameConfig:
         assert cfg.seed == 42
         assert GameConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["x_p0", "x_e0"])
+    def test_rejects_non_finite_positions(self, key, bad):
+        # Vec2 checks nothing, so the config is where a position is checked
+        cfg = make_config()
+        with pytest.raises(ValueError, match="must be finite"):
+            replace(cfg, **{key: Vec2(0.5, bad)})
+        with pytest.raises(ValueError, match="must be finite"):
+            GameConfig.from_dict(default_config_payload(**{key: [bad, 0.0]}))
+
+    def test_integer_json_yields_floats(self):
+        # JSON integers become floats where they enter: the config and scripted legs
+        cfg = GameConfig.from_dict(default_config_payload(
+            nu=0.5, r_cap=1, x_p0=[0, 0], x_e0=[3, 4], t_f=5, n=2))
+        for value in (cfg.r_cap, cfg.t_f, cfg.x_p0.x, cfg.x_p0.y, cfg.x_e0.x, cfg.x_e0.y):
+            assert type(value) is float
+        assert type(cfg.n) is int
+        evader = build_evader({"name": "scripted", "legs": [[1, [0, 0]], [2, [0, 1]]]}, cfg)
+        for t_end, velocity in evader.legs:
+            assert type(t_end) is float
+            assert type(velocity.x) is float and type(velocity.y) is float
+
     def test_seed_defaults_to_zero(self):
         payload = default_config_payload()
         del payload["seed"]
@@ -186,6 +200,8 @@ class TestDirections:
         assert abs(p.norm() - 1.0) < 1e-15
         with pytest.raises(ValueError):
             perpendicular(Vec2(2.0, 0.0), 1)
+        with pytest.raises(ValueError, match="unit vector"):
+            perpendicular(Vec2(math.nan, 0.0), 1)
         with pytest.raises(ValueError):
             perpendicular(Vec2(1.0, 0.0), 0)
 

@@ -35,8 +35,10 @@ from intermittent_pursuit import (
     exact_expected_payoff,
     mc_expected_payoff,
     payoff_of,
+    random_piecewise_evader,
     sampled_expected_payoff,
     simulate,
+    trial_rng,
     value_bound,
     write_trajectory_csv,
 )
@@ -69,13 +71,36 @@ class TestSegmentsAndTrajectories:
         assert traj.end_position == Vec2(2.0, 2.0)
         assert traj.path_length() == 0.0
 
-    def test_contiguity_validation(self):
-        with pytest.raises(ValueError):
-            Trajectory(0.0, Vec2(0, 0), (Segment(0.5, 1.0, Vec2(0, 0), Vec2(1, 0)),))
-        with pytest.raises(ValueError):
-            Trajectory(0.0, Vec2(0, 0), (Segment(0.0, 1.0, Vec2(1, 0), Vec2(1, 0)),))
-        with pytest.raises(ValueError):
-            Trajectory(0.0, Vec2(0, 0), (Segment(0.0, 0.0, Vec2(0, 0), Vec2(1, 0)),))
+    @settings(max_examples=40)
+    @given(
+        nu=st.floats(0.2, 0.9),
+        rho=st.floats(0.05, 3.0),
+        bearing=st.floats(0.0, 2 * math.pi),
+        t_f=st.floats(0.01, 6.0),
+        n=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+        pursuer=st.sampled_from(("continuous", "prop1", "thm1", "aleem")),
+        evader=st.sampled_from(("radial", "equilibrium", "scripted")),
+    )
+    def test_simulate_chains_segments_exactly_property(self, nu, rho, bearing, t_f, n,
+                                                       seed, pursuer, evader):
+        # Trajectory does not re-check its chain, so the engine must build it exactly
+        cfg = GameConfig(nu=nu, r_cap=0.1, x_p0=Vec2(0.0, 0.0),
+                         x_e0=Vec2(rho * math.cos(bearing), rho * math.sin(bearing)),
+                         t_f=t_f, n=n, phi=PayoffSpec("hinge", 0.1), seed=seed)
+        if evader == "scripted":
+            strategy = random_piecewise_evader(cfg, trial_rng(seed, 0))
+        else:
+            strategy = build_evader(evader, cfg)
+        result = simulate(cfg, build_pursuer(pursuer, cfg), strategy)
+        for traj in (result.pursuer_trajectory, result.evader_trajectory):
+            t, x = traj.start_time, traj.start_pos
+            for seg in traj.segments:
+                assert seg.t_start == t and seg.x0 == x
+                assert seg.t_end > seg.t_start
+                t, x = seg.t_end, seg.end_position
+        final = result.pursuer_trajectory.end_position.dist(result.evader_trajectory.end_position)
+        assert final == result.outcome.final_distance
 
 
 class TestDetectCapture:

@@ -24,6 +24,7 @@ from intermittent_pursuit import (
     WaitingPursuer,
     build_evader,
     build_pursuer,
+    simulate,
     theta_stream,
     trial_rng,
     trigger_coefficient,
@@ -257,10 +258,11 @@ class TestEvaders:
     def test_scripted_validation(self):
         with pytest.raises(ValueError):
             ScriptedEvader([(1.0, Vec2(0, 0)), (1.0, Vec2(0, 0))])  # not increasing
+        # a script meets its cap only in play: the engine checks each action
         cfg = make_config(nu=0.3)
         fast = ScriptedEvader([(1.0, Vec2(0.5, 0.0))])
         with pytest.raises(ValueError, match="exceeds"):
-            fast.act(evader_info(cfg))
+            simulate(cfg, WaitingPursuer(), fast)
 
 
 class TestRandomStreams:

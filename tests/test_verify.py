@@ -230,9 +230,15 @@ class TestDenseOracle:
     @pytest.mark.parametrize("pursuer, evader, message", [
         (CrookedHeading(), RadialEvader(), "unit vector"),
         (ArrivalSensingPursuer(), Speeder(), "exceeds"),
-    ], ids=["crooked_heading", "speeder"])
+        (CrookedHeading(Vec2(math.nan, 0.0)), RadialEvader(), "unit vector"),
+        (CrookedHeading(Vec2(math.inf, 0.0)), RadialEvader(), "unit vector"),
+        (ArrivalSensingPursuer(), Speeder(Vec2(math.nan, 0.0)), "exceeds"),
+        (ArrivalSensingPursuer(), Speeder(Vec2(math.inf, 0.0)), "exceeds"),
+    ], ids=["crooked_heading", "speeder", "nan_heading", "inf_heading", "nan_velocity",
+            "inf_velocity"])
     def test_malformed_actions_rejected(self, pursuer, evader, message):
-        # the oracle plays through the engine's loop, so it runs the same checks
+        # the oracle plays through the engine's loop, so it runs the same checks;
+        # these are the only finiteness checks on actions, since Vec2 has none
         cfg = make_config(rho0=2.0, t_f=5.0, n=0)
         for play in (simulate, dense_oracle):
             with pytest.raises(ValueError, match=message):
