@@ -179,6 +179,21 @@ class TestValueGrid:
                                "--out", out, capsys=capsys)
         assert code == 2 and "below min" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tau-max", "nan"), ("--rho-max", "inf"), ("--rho-min", "nan"),
+    ])
+    def test_non_finite_grid_writes_nothing(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        params = {"--rho-min": "0", "--rho-max": "1", "--tau-max": "1"}
+        params[flag] = value
+        argv = ["value-grid", "--nu", "0.7", "--r-cap", "0.1", "--ell", "0:2",
+                "--rho-steps", "3", "--tau-steps", "3", "--out", str(out)]
+        for key, raw in params.items():
+            argv += [key, raw]
+        code, stdout, err = run_cli(*argv, capsys=capsys)
+        assert code == 2 and stdout == "" and err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCompareNmax:
     def test_frozen_rows(self, tmp_path, capsys):

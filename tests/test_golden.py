@@ -2,7 +2,7 @@
 
 A refactor that claims to keep behaviour must leave every digest here
 unchanged: the ``simulate --out`` outcome JSON and trajectory CSV of each
-pursuer against three evaders, a ``value-grid`` CSV, and the report JSON
+pursuer against three evaders, three ``value-grid`` CSVs, and the report JSON
 of three ``verify`` suites.  Manifests are not hashed (they carry a wall
 time).  Regenerate a digest only for an intended change of output.
 """
@@ -77,6 +77,8 @@ SIMULATE_DIGESTS = {
 
 OTHER_DIGESTS = {
     "value-grid": "b0c87ab65ecf7a6779d1ac2f9402e6f2cee01f3b3c1ed56faee7f43e4bcf2cbc",
+    "value-grid-quadratic": "d695e065b54a85106a3a34be4976f7bb68d1b0255d0c2635e61be2eef823572b",
+    "value-grid-slack": "b68d775c55a64d9de9f73664c83d4238465e5d5c5cec9ae3182568ba83623b23",
     "verify-capture_time": "bab5fbbb5b3e9cdcb1ea070e78ee86b76fc61711cf8d325c935b304551ac3dc8",
     "verify-evader": "17c3cd7b3cbfabcb7c37ff0baf2284f7bd63abe08b24558872a05547a1493a0d",
     "verify-pursuer": "538838272ebce499f990eec3e3957face518ecae585e6548c59216002013c2f9",
@@ -107,6 +109,15 @@ OTHER_RUNS = {
     "value-grid": ["value-grid", "--nu", "0.7", "--r-cap", "0.1", "--rho-max", "3",
                    "--rho-steps", "20", "--tau-max", "5", "--tau-steps", "20",
                    "--ell", "0:4"],
+    # Six of the seven case tags, with capture_region reached through
+    # nu^(ell+1)*rho <= r_cap away from rho <= r_cap.
+    "value-grid-quadratic": ["value-grid", "--phi", "quadratic-above-capture", "--nu", "0.55",
+                             "--r-cap", "0.1", "--rho-max", "3", "--rho-steps", "20",
+                             "--tau-max", "8", "--tau-steps", "20", "--ell", "0:7"],
+    # The slack band: stage0_case2b rows and capture_region rows that are not tight.
+    "value-grid-slack": ["value-grid", "--nu", "0.7", "--r-cap", "0.1", "--rho-min", "0.1",
+                         "--rho-max", "0.18", "--rho-steps", "9", "--tau-max", "2",
+                         "--tau-steps", "9", "--ell", "0:3"],
     "verify-pursuer": ["verify", "pursuer", "--trials", "50"],
     "verify-evader": ["verify", "evader"],
     "verify-capture_time": ["verify", "capture_time", "--trials", "20"],
