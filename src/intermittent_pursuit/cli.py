@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import __version__
 from .core import GameConfig, PayoffSpec, RegionNotCoveredError, fmt_g
@@ -117,7 +120,7 @@ def _config_from_file(path: str, seed_override: Optional[int]):
     return config, pursuer_choice, evader_choice, resolved
 
 
-def _write_csv_rows(path: str, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv_rows(path: str, header: list[str], rows: Iterable[Sequence[str]]) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -193,15 +196,18 @@ def cmd_value_grid(args, argv) -> int:
     rhos = _linspace(args.rho_min, args.rho_max, args.rho_steps, "rho range")
     taus = _linspace(args.tau_min, args.tau_max, args.tau_steps, "tau range")
     phi = PayoffSpec(args.phi, args.r_cap)
-    rows = []
-    for ell in ells:
-        for rho in rhos:
-            for tau in taus:
-                bound = value_bound(rho, tau, ell, phi, args.nu)
-                rows.append([
-                    fmt_g(rho), fmt_g(tau), str(ell),
-                    fmt_g(bound.value), bound.case_tag, _bool_str(bound.is_tight),
-                ])
+    # Evaluate the whole grid before the CSV is opened, so a bad grid writes nothing.
+    rho_grid, tau_grid = np.array(rhos)[:, None], np.array(taus)[None, :]
+    bounds = [value_bound(rho_grid, tau_grid, ell, phi, args.nu) for ell in ells]
+    rho_cells = [cell for cell in map(fmt_g, rhos) for _ in taus]
+    tau_cells = list(map(fmt_g, taus)) * len(rhos)
+    rows = itertools.chain.from_iterable(
+        zip(rho_cells, tau_cells, itertools.repeat(str(ell)),
+            map(fmt_g, bound.value.ravel().tolist()),
+            bound.case_tag.ravel().tolist(),
+            map(_bool_str, bound.is_tight.ravel().tolist()))
+        for ell, bound in zip(ells, bounds)
+    )
     _write_csv_rows(args.out, ["rho", "tau", "ell", "value", "case_tag", "is_tight"], rows)
     config = {
         "nu": args.nu, "r_cap": args.r_cap, "phi": {"kind": args.phi},
@@ -210,7 +216,7 @@ def cmd_value_grid(args, argv) -> int:
         "ell": args.ell,
     }
     _write_manifest(args.out, "value-grid", argv, config, args.seed, [args.out], started)
-    print(f"{len(rows)} rows -> {args.out}")
+    print(f"{len(ells) * len(rhos) * len(taus)} rows -> {args.out}")
     return 0
 
 

@@ -30,7 +30,7 @@ from .core import (
     line_of_sight,
     perpendicular,
 )
-from .value import in_loose_region, reach_factor, trigger_coefficient
+from .value import _REACH_TOL, in_loose_region, reach_factor, trigger_coefficient
 
 __all__ = [
     "ARRIVAL_TOL",
@@ -230,7 +230,7 @@ class WaitingPursuer:
     def _time_to_spare(rho: float, tau: float, ell: int, cfg: GameConfig) -> bool:
         if cfg.nu ** (ell + 1) * rho <= cfg.r_cap:
             return False  # enough budget to corner the evader: just chase
-        return tau > reach_factor(cfg.nu, ell) * rho + 1e-12 * max(1.0, tau)
+        return tau > reach_factor(cfg.nu, ell) * rho + _REACH_TOL * max(1.0, tau)
 
 
 class SelfTriggeredPursuer:

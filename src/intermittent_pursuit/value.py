@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import PayoffSpec, RegionNotCoveredError
 
 __all__ = [
@@ -54,6 +56,11 @@ __all__ = [
 # Relative nudge applied before floor/ceil so exact powers do not flip the
 # integer by one unit of floating-point noise.
 _NUDGE = 1e-12
+
+# Relative tolerance on the wait-or-chase boundary tau = reach_factor(nu, ell)*rho:
+# a state with tau <= reach*rho + _REACH_TOL*max(1, tau) is short of time and
+# chases.  ``value_bound`` and ``WaitingPursuer`` must draw the same boundary.
+_REACH_TOL = 1e-12
 
 
 def _check_nu(nu: float) -> None:
@@ -202,7 +209,9 @@ class ValueBound:
     """Upper bound on the game value plus which analytic case produced it.
 
     ``is_tight`` is False exactly when the queried state sits in the slack
-    region, where only the upper bound (not the exact value) is known.
+    region, where only the upper bound (not the exact value) is known.  The
+    bound of a scalar query holds a Python float, str and bool; the bound of
+    an array query holds arrays of the broadcast shape, element for element.
     """
 
     value: float
@@ -210,17 +219,85 @@ class ValueBound:
     is_tight: bool
 
     def __post_init__(self):
-        if self.case_tag not in CASE_TAGS:
-            raise ValueError(f"unknown case tag {self.case_tag!r}")
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise ValueError(f"bound value must be nonnegative and finite, got {self.value}")
+        tags = self.case_tag
+        if not (isinstance(tags, str) and tags in CASE_TAGS):
+            unknown = set(np.ravel(tags).tolist()).difference(CASE_TAGS)
+            if unknown:
+                raise ValueError(f"unknown case tag {min(unknown)!r}")
+        _checked(self.value, "bound value")
 
 
-def _check_state(rho: float, tau: float) -> None:
-    if not (math.isfinite(rho) and rho >= 0):
-        raise ValueError(f"rho must be nonnegative and finite, got {rho}")
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ValueError(f"tau must be nonnegative and finite, got {tau}")
+# The value bound is written once, element for element: each helper below
+# acts on Python scalars with Python's own operations and on numpy arrays with
+# numpy's, and both give the same floats.
+
+
+def _checked(x, what: str):
+    """``x`` as a Python number or a float array, once every value lies in [0, inf)."""
+    if isinstance(x, (int, float)):
+        if 0.0 <= x < math.inf:  # NaN fails too
+            return x
+        raise ValueError(f"{what} must be nonnegative and finite, got {x}")
+    x = np.asarray(x, dtype=float)
+    ok = (0.0 <= x) & (x < math.inf)
+    if not ok.all():
+        raise ValueError(f"{what} must be nonnegative and finite, got {x[~ok].tolist()[0]}")
+    return x
+
+
+def _where(cond, if_true, if_false):
+    """``np.where`` on arrays, a conditional expression on scalars."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, if_true, if_false)
+    return if_true if cond else if_false
+
+
+_TAG_ARRAY = np.array(CASE_TAGS, dtype=object)
+
+
+def _bound(phi: PayoffSpec, capture, distance, conditions, tags, slack) -> ValueBound:
+    """The ``ValueBound`` of one case split.
+
+    The value is 0 on capture and phi(distance) elsewhere, the tag is that
+    of the first condition that holds (else the last tag), and the bound is
+    tight outside the slack region.  On arrays the tags are object arrays
+    whose elements are the strings of ``CASE_TAGS`` themselves, and phi is
+    ``phi.evaluate``'s arithmetic, element for element.
+    """
+    if not isinstance(capture, np.ndarray):
+        value = 0.0 if capture else phi.evaluate(distance)
+        tag = tags[-1]
+        for cond, candidate in zip(conditions, tags):
+            if cond:
+                tag = candidate
+                break
+        return ValueBound(float(value), tag, not slack)
+    distance = np.where(capture, 0.0, distance)
+    bad = distance < 0.0
+    if bad.any():
+        raise ValueError(f"distance must be nonnegative, got {distance[bad].tolist()[0]}")
+    excess = distance - phi.r_cap
+    value = np.where(excess < 0.0, 0.0, excess)  # max(excess, 0.0), as in evaluate
+    if phi.kind != "hinge":
+        with np.errstate(over="ignore"):  # inf without a warning, as a float square gives
+            value = value * value
+    codes = np.select(conditions, [CASE_TAGS.index(tag) for tag in tags[:-1]],
+                      CASE_TAGS.index(tags[-1]))
+    return ValueBound(value, _TAG_ARRAY[codes], ~slack)
+
+
+def _in_slack(rho, tau, ell: int, nu: float, r_cap: float, reach: float = 1.0):
+    """The slack region of budget ``ell``, element for element.
+
+    ell = 0: tau >= rho and r_cap < nu*rho <= sqrt(1+nu^2)*r_cap.
+    ell >= 1: tau >= reach*rho and r_cap <= rho <= sqrt(1+nu^2)*r_cap, where
+    ``reach`` is reach_factor(nu, ell) (exactly 1.0 at ell = 0).
+    """
+    edge = math.sqrt(1.0 + nu * nu) * r_cap
+    if ell == 0:
+        scaled = nu * rho
+        return (tau >= rho) & (r_cap < scaled) & (scaled <= edge)
+    return (tau >= reach * rho) & (r_cap <= rho) & (rho <= edge)
 
 
 def in_loose_region(rho: float, tau: float, nu: float, r_cap: float) -> bool:
@@ -230,7 +307,7 @@ def in_loose_region(rho: float, tau: float, nu: float, r_cap: float) -> bool:
     cornered, and the stage-0 bound is not known to be attained.
     """
     _check_nu(nu)
-    return tau >= rho and r_cap < nu * rho <= math.sqrt(1.0 + nu * nu) * r_cap
+    return _in_slack(rho, tau, 0, nu, r_cap)
 
 
 def in_loose_region_budgeted(rho: float, tau: float, ell: int, nu: float, r_cap: float) -> bool:
@@ -242,14 +319,11 @@ def in_loose_region_budgeted(rho: float, tau: float, ell: int, nu: float, r_cap:
     """
     if not isinstance(ell, int) or ell < 1:
         raise ValueError(f"ell must be a positive integer here, got {ell!r}")
-    return (
-        tau >= reach_factor(nu, ell) * rho
-        and r_cap <= rho <= math.sqrt(1.0 + nu * nu) * r_cap
-    )
+    return _in_slack(rho, tau, ell, nu, r_cap, reach_factor(nu, ell))
 
 
 def stage0_bound(rho: float, tau: float, phi: PayoffSpec, nu: float) -> ValueBound:
-    """Value bound with an exhausted sensing budget.
+    """Value bound with an exhausted sensing budget: ``value_bound`` at ell = 0.
 
     Case split: 0 if the pursuer can corner the evader (tau >= rho and
     nu*rho <= r_cap); otherwise phi(nu*tau + max(rho - tau, 0)), which is the
@@ -257,23 +331,15 @@ def stage0_bound(rho: float, tau: float, phi: PayoffSpec, nu: float) -> ValueBou
     stop outcome when it is not.  The stop case is tight only outside the
     slack region.
     """
-    _check_nu(nu)
-    _check_state(rho, tau)
-    r_cap = phi.r_cap
-    if tau >= rho and nu * rho <= r_cap:
-        return ValueBound(0.0, STAGE0_CAPTURE, True)
-    value = phi.evaluate(nu * tau + max(rho - tau, 0.0))
-    if tau < rho:
-        return ValueBound(value, STAGE0_CHASE, True)
-    if nu * rho > math.sqrt(1.0 + nu * nu) * r_cap:
-        return ValueBound(value, STAGE0_STOP, True)
-    return ValueBound(value, STAGE0_SLACK, False)
+    return value_bound(rho, tau, 0, phi, nu)
 
 
-def value_bound(rho: float, tau: float, ell: int, phi: PayoffSpec, nu: float) -> ValueBound:
+def value_bound(rho, tau, ell: int, phi: PayoffSpec, nu: float) -> ValueBound:
     """Value bound for separation rho, remaining time tau, remaining budget ell.
 
-    For ell >= 1 the cases are:
+    ``rho`` and ``tau`` are floats or arrays that broadcast together; an
+    array query gives the scalar query's value, tag and flag element for
+    element, bit for bit.  For ell >= 1 the cases are:
 
     * capture_region: 0 when tau >= reach_factor(nu, ell)*rho and
       nu^(ell+1)*rho <= r_cap (enough time and enough sensings to corner);
@@ -285,29 +351,30 @@ def value_bound(rho: float, tau: float, ell: int, phi: PayoffSpec, nu: float) ->
     Queries on the time_limited/wait_region boundary resolve to time_limited;
     the two branches agree there (both give phi(nu^(ell+1)*rho)).  A query
     with rho <= r_cap is capture at the query instant and returns 0.
-    ell = 0 delegates verbatim to ``stage0_bound``.
+    ell = 0 is the stage-0 split of ``stage0_bound``.  The tightness flag
+    follows the budget's slack predicate even where the value comes from the
+    capture case.
     """
     if not isinstance(ell, int) or ell < 0:
         raise ValueError(f"ell must be a nonnegative integer, got {ell!r}")
-    if ell == 0:
-        return stage0_bound(rho, tau, phi, nu)
-    _check_nu(nu)
-    _check_state(rho, tau)
+    reach_per_rho = reach_factor(nu, ell)  # checks nu
+    rho = _checked(rho, "rho")
+    tau = _checked(tau, "tau")
     r_cap = phi.r_cap
-    # The tightness flag follows the budgeted slack predicate even where the
-    # value itself comes from a short-circuit below.
-    tight = not in_loose_region_budgeted(rho, tau, ell, nu, r_cap)
-    if rho <= r_cap:
-        return ValueBound(0.0, CAPTURE_REGION, tight)
+    slack = _in_slack(rho, tau, ell, nu, r_cap, reach_per_rho)
+    if ell == 0:
+        capture = (tau >= rho) & (nu * rho <= r_cap)
+        gap = rho - tau
+        distance = nu * tau + _where(gap < 0.0, 0.0, gap)  # max(rho - tau, 0.0)
+        return _bound(phi, capture, distance, (capture, tau < rho, slack),
+                      (STAGE0_CAPTURE, STAGE0_CHASE, STAGE0_SLACK, STAGE0_STOP), slack)
     shrink = nu ** (ell + 1)
-    reach = reach_factor(nu, ell) * rho
-    if tau >= reach and shrink * rho <= r_cap:
-        return ValueBound(0.0, CAPTURE_REGION, tight)
-    tol = _NUDGE * max(1.0, tau)
-    if tau <= reach + tol:
-        return ValueBound(phi.evaluate(nu * tau + rho - tau), TIME_LIMITED, tight)
-    pooled = (1.0 - nu) / (1.0 - shrink) * shrink * tau
-    return ValueBound(phi.evaluate(pooled), WAIT_REGION, tight)
+    reach = reach_per_rho * rho
+    capture = (rho <= r_cap) | ((tau >= reach) & (shrink * rho <= r_cap))
+    short = tau <= reach + _REACH_TOL * _where(tau > 1.0, tau, 1.0)  # max(1.0, tau)
+    distance = _where(short, nu * tau + rho - tau, (1.0 - nu) / (1.0 - shrink) * shrink * tau)
+    return _bound(phi, capture, distance, (capture, short),
+                  (CAPTURE_REGION, TIME_LIMITED, WAIT_REGION), slack)
 
 
 def matching_sense_count(rho0: float, t_f: float, nu: float, r_cap: float) -> int:

@@ -34,3 +34,22 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for (module, attr), original in originals.items():
         assert getattr(getattr(ip, module), attr) is original, f"{module}.{attr}"
+
+
+def test_traced_value_grid_counts_its_layers(tmp_path, capsys):
+    """A traced ``value-grid`` reaches ``value_bound`` and ``fmt_g`` through the
+    names the tracer rebinds, as the benchmark's smoke check requires."""
+    tracer = _load_tracing().Tracer()
+    tracer.install(ip)
+    try:
+        code = ip.cli.main(["value-grid", "--nu", "0.7", "--r-cap", "0.1",
+                            "--rho-max", "3", "--rho-steps", "4", "--tau-max", "6",
+                            "--tau-steps", "3", "--ell", "0:1", "--out", str(tmp_path / "grid.csv")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert capsys.readouterr().out == f"24 rows -> {tmp_path / 'grid.csv'}\n"
+    metrics = tracer.layer_metrics()
+    assert metrics["value.value_bound.calls"] > 0
+    assert metrics["core.fmt_g.calls"] > 0
+    assert tracer.check_nesting() == []

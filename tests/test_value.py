@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intermittent_pursuit import (
     CASE_TAGS,
@@ -326,6 +328,128 @@ class TestValueBound:
             "stage0_case2b",
             "stage0_case3",
         )
+
+    def test_array_validation(self):
+        """An array query checks every element; a bad one names the first offender."""
+        with pytest.raises(ValueError, match="rho must be nonnegative and finite, got nan"):
+            value_bound(np.array([1.0, math.nan]), 1.0, 1, HINGE, 0.7)
+        with pytest.raises(ValueError, match="tau must be nonnegative and finite, got -1.0"):
+            value_bound(np.array([[1.0], [2.0]]), np.array([2.0, -1.0, math.inf]), 0, HINGE, 0.7)
+        with pytest.raises(ValueError, match="unknown case tag 'no_such_tag'"):
+            ValueBound(np.array([1.0, 2.0]), np.array(["wait_region", "no_such_tag"], dtype=object),
+                       np.array([True, True]))
+        with pytest.raises(ValueError, match="bound value must be nonnegative and finite, got inf"):
+            ValueBound(np.array([1.0, math.inf]), np.array(["wait_region"] * 2), np.array([True] * 2))
+
+
+# ---------------------------------------------------------------------------
+# value bound properties: one case split for scalars and arrays
+# ---------------------------------------------------------------------------
+
+
+def _longhand_bound(rho, tau, ell, phi, nu):
+    """The scalar case split as it was written before arrays: (value, tag, tight)."""
+    r_cap = phi.r_cap
+    band_hi = math.sqrt(1.0 + nu * nu) * r_cap
+    if ell == 0:
+        if tau >= rho and nu * rho <= r_cap:
+            return 0.0, "stage0_case1", True
+        value = phi.evaluate(nu * tau + max(rho - tau, 0.0))
+        if tau < rho:
+            return value, "stage0_case3", True
+        if nu * rho > band_hi:
+            return value, "stage0_case2a", True
+        return value, "stage0_case2b", False
+    reach_per_rho = (1.0 - nu ** (ell + 1)) / (1.0 - nu)
+    tight = not (tau >= reach_per_rho * rho and r_cap <= rho <= band_hi)
+    if rho <= r_cap:
+        return 0.0, "capture_region", tight
+    shrink = nu ** (ell + 1)
+    reach = reach_per_rho * rho
+    if tau >= reach and shrink * rho <= r_cap:
+        return 0.0, "capture_region", tight
+    if tau <= reach + 1e-12 * max(1.0, tau):
+        return phi.evaluate(nu * tau + rho - tau), "time_limited", tight
+    return phi.evaluate((1.0 - nu) / (1.0 - shrink) * shrink * tau), "wait_region", tight
+
+
+@st.composite
+def _bound_grids(draw):
+    """A game (nu, phi, ell) and a (rho, tau) grid that crosses every case boundary.
+
+    Beside drawn points, the grid holds rho = r_cap, rho = 0 and -0.0,
+    nu*rho = sqrt(1+nu^2)*r_cap, nu^(ell+1)*rho = r_cap, and for each rho
+    tau = rho and tau = reach_factor*rho, each also nudged by an ulp-scale step.
+    """
+    nu = draw(st.floats(0.05, 0.95))
+    r_cap = draw(st.floats(0.01, 1.0))
+    phi = PayoffSpec(draw(st.sampled_from(("hinge", "quadratic-above-capture"))), r_cap)
+    ell = draw(st.integers(0, 8))
+    reach = reach_factor(nu, ell)
+    rhos = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))
+    rhos += [r_cap, 0.0, -0.0, math.sqrt(1.0 + nu * nu) * r_cap / nu, r_cap / nu ** (ell + 1)]
+    taus = draw(st.lists(st.floats(0.0, 20.0), min_size=1, max_size=4)) + [0.0, -0.0]
+    for rho in rhos:
+        for tau in (rho, reach * rho):
+            taus += [tau, tau * (1.0 + 1e-13), tau * (1.0 - 1e-13)]
+    return nu, phi, ell, rhos, taus
+
+
+@settings(max_examples=100)
+@given(_bound_grids())
+def test_array_scalar_and_longhand_bounds_agree_property(grid):
+    """The array call, each scalar call and the longhand split agree with ==."""
+    nu, phi, ell, rhos, taus = grid
+    arrays = value_bound(np.array(rhos)[:, None], np.array(taus)[None, :], ell, phi, nu)
+    assert arrays.value.shape == arrays.case_tag.shape == arrays.is_tight.shape == (
+        len(rhos), len(taus))
+    for i, rho in enumerate(rhos):
+        for j, tau in enumerate(taus):
+            scalar = value_bound(rho, tau, ell, phi, nu)
+            assert type(scalar.value) is float
+            assert type(scalar.case_tag) is str
+            assert type(scalar.is_tight) is bool
+            expected = _longhand_bound(rho, tau, ell, phi, nu)
+            assert (scalar.value, scalar.case_tag, scalar.is_tight) == expected, (rho, tau)
+            assert (arrays.value[i, j], arrays.case_tag[i, j], arrays.is_tight[i, j]) == expected
+            if ell == 0:
+                assert stage0_bound(rho, tau, phi, nu) == scalar
+
+
+@settings(max_examples=60)
+@given(_bound_grids())
+def test_bound_nonincreasing_in_budget_and_zero_on_capture_property(grid):
+    """One more sensing never raises the bound; a capture tag always means 0."""
+    nu, phi, ell, rhos, taus = grid
+    rho, tau = np.array(rhos)[:, None], np.array(taus)[None, :]
+    bounds = [value_bound(rho, tau, n, phi, nu) for n in range(ell + 2)]
+    # Rounding is relative to the value, or to rho + tau where nu*tau + rho - tau cancels.
+    scale = np.maximum(1.0, rho + tau)
+    for fewer, more in zip(bounds, bounds[1:]):
+        assert np.all(more.value <= fewer.value + 1e-12 * np.maximum(scale, fewer.value))
+    for bound in bounds:
+        captured = np.isin(bound.case_tag, ("capture_region", "stage0_case1"))
+        assert np.all(bound.value[captured] == 0.0)
+    for bound in bounds[1:]:
+        assert np.all(bound.case_tag[np.broadcast_to(rho <= phi.r_cap, bound.value.shape)]
+                      == "capture_region")
+
+
+@settings(max_examples=60)
+@given(nu=st.floats(0.05, 0.95), r_cap=st.floats(0.01, 1.0), ell=st.integers(1, 8),
+       kind=st.sampled_from(("hinge", "quadratic-above-capture")),
+       rhos=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=20))
+def test_bound_continuous_across_reach_boundary_property(nu, r_cap, ell, kind, rhos):
+    """Stepping eps across tau = reach_factor*rho moves the bound by O(eps)."""
+    phi = PayoffSpec(kind, r_cap)
+    rho = np.array(rhos)
+    edge = reach_factor(nu, ell) * rho
+    eps = 1e-9 * np.maximum(1.0, edge)
+    below = value_bound(rho, np.maximum(edge - eps, 0.0), ell, phi, nu).value
+    above = value_bound(rho, edge + eps, ell, phi, nu).value
+    # Both branches move by at most 1 per unit tau; the square at most 2*(rho + tau) times that.
+    lipschitz = 1.0 if kind == "hinge" else 2.0 * (rho + edge + eps)
+    assert np.all(np.abs(above - below) <= 2.0 * eps * lipschitz + 1e-15)
 
 
 # ---------------------------------------------------------------------------
