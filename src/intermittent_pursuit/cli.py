@@ -4,7 +4,8 @@ Commands: ``simulate``, ``value-grid``, ``compare-nmax``, ``degradation``,
 ``verify``.  Exit codes: 0 on success, 1 when a verification suite fails,
 2 on usage or configuration errors.  Every file-writing run also
 writes a ``<out>.manifest.json`` recording the command, resolved inputs,
-seed, and tool version; re-running from a manifest's inputs reproduces the
+seed (null for the closed-form table commands, which draw nothing random),
+and tool version; re-running from a manifest's inputs reproduces the
 outputs byte for byte.  All numbers are printed with 9 significant digits.
 """
 
@@ -16,7 +17,6 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -34,7 +34,7 @@ from .value import (
 )
 from .verify import SUITE_NAMES, run_suite
 
-__all__ = ["main", "RunManifest"]
+__all__ = ["main"]
 
 
 class CliError(Exception):
@@ -45,43 +45,19 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True, slots=True)
-class RunManifest:
-    """Reproducibility record written alongside every output file."""
-
-    command: str
-    argv: tuple[str, ...]
-    config: dict
-    seed: Optional[int]
-    version: str
-    outputs: tuple[str, ...]
-    duration_s: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "argv": list(self.argv),
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "outputs": list(self.outputs),
-            "duration_s": self.duration_s,
-        }
-
-
 def _write_manifest(base_path: str, command: str, argv, config: dict,
                     seed: Optional[int], outputs: list[str], started: float) -> None:
-    manifest = RunManifest(
-        command=command,
-        argv=tuple(argv),
-        config=config,
-        seed=seed,
-        version=__version__,
-        outputs=tuple(outputs),
-        duration_s=time.monotonic() - started,
-    )
-    path = f"{base_path}.manifest.json"
-    Path(path).write_text(json.dumps(manifest.to_json_dict(), indent=2) + "\n")
+    """Write the reproducibility record ``<base_path>.manifest.json``."""
+    manifest = {
+        "command": command,
+        "argv": list(argv),
+        "config": config,
+        "seed": seed,
+        "version": __version__,
+        "outputs": list(outputs),
+        "duration_s": time.monotonic() - started,
+    }
+    Path(f"{base_path}.manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _load_json_object(path: str) -> dict:
@@ -215,7 +191,7 @@ def cmd_value_grid(args, argv) -> int:
         "tau": [args.tau_min, args.tau_max, args.tau_steps],
         "ell": args.ell,
     }
-    _write_manifest(args.out, "value-grid", argv, config, args.seed, [args.out], started)
+    _write_manifest(args.out, "value-grid", argv, config, None, [args.out], started)
     print(f"{len(ells) * len(rhos) * len(taus)} rows -> {args.out}")
     return 0
 
@@ -241,7 +217,7 @@ def cmd_compare_nmax(args, argv) -> int:
         "rho0": args.rho0, "r_cap": args.r_cap,
         "nu": [args.nu_min, args.nu_max, args.nu_steps],
     }
-    _write_manifest(args.out, "compare-nmax", argv, config, args.seed, [args.out], started)
+    _write_manifest(args.out, "compare-nmax", argv, config, None, [args.out], started)
     print(f"{len(rows)} rows -> {args.out}")
     return 0
 
@@ -294,7 +270,7 @@ def cmd_degradation(args, argv) -> int:
         "rho0": args.rho0, "r_cap": args.r_cap, "tf_frac": args.tf_frac,
         "nu": nus, "phi": {"kind": phi_kind},
     }
-    _write_manifest(args.out, "degradation", argv, config, args.seed, [args.out], started)
+    _write_manifest(args.out, "degradation", argv, config, None, [args.out], started)
     print(f"{len(rows)} rows -> {args.out}")
     return 0
 
@@ -354,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--tau-max", type=float, required=True)
     p_grid.add_argument("--tau-steps", type=int, default=300)
     p_grid.add_argument("--ell", default="0", help="budget: integer or lo:hi range")
-    p_grid.add_argument("--seed", type=int, default=0)
     p_grid.add_argument("--out", required=True, help="CSV output path")
     p_grid.set_defaults(func=cmd_value_grid)
 
@@ -365,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--nu-min", type=float, required=True)
     p_cmp.add_argument("--nu-max", type=float, required=True)
     p_cmp.add_argument("--nu-steps", type=int, default=19)
-    p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--out", required=True, help="CSV output path")
     p_cmp.set_defaults(func=cmd_compare_nmax)
 
@@ -379,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated evader speeds, e.g. 0.5,0.6,0.7,0.8")
     p_deg.add_argument("--phi", choices=["hinge", "quadratic-above-capture"],
                        default="hinge")
-    p_deg.add_argument("--seed", type=int, default=0)
     p_deg.add_argument("--out", required=True, help="CSV output path")
     p_deg.set_defaults(func=cmd_degradation)
 

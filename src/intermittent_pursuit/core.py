@@ -9,6 +9,20 @@ pursuer's top speed; lengths are unchanged.
 All types here are immutable values.  Validity is checked where a value
 enters the game (``GameConfig`` here, each strategy action in the engine),
 not inside every vector operation.
+
+Tolerances.  The paper's equilibrium claims are equalities, which the
+package checks in floating point, so "equal" means "equal up to rounding"
+(Goldberg, *What every computer scientist should know about floating-point
+arithmetic*, 1991).  Every tolerance in the package is one of three constants:
+
+* ``TIME_EPS``, absolute: two event times closer than this are one instant.
+  Game clocks start at 0, and it only has to stop a zero-length event.
+* ``ROUND_TOL``, relative to ``max(1, |x|)`` or to the operands: the rounding
+  noise of one closed-form evaluation, which grows with its magnitude.
+* ``CHECK_TOL``: error built up over a played game, absolute on lengths and
+  unit headings, relative where a site scales it; each report's tolerance.
+
+``before`` and ``exceeds`` are the two recurring ``ROUND_TOL`` comparisons.
 """
 
 from __future__ import annotations
@@ -34,7 +48,24 @@ __all__ = [
     "line_of_sight",
     "perpendicular",
     "fmt_g",
+    "TIME_EPS",
+    "ROUND_TOL",
+    "CHECK_TOL",
 ]
+
+TIME_EPS = 1e-15
+ROUND_TOL = 1e-12
+CHECK_TOL = 1e-9
+
+
+def before(t: float, target: float) -> bool:
+    """True when time ``t`` falls short of ``target`` by more than rounding noise."""
+    return t < target - ROUND_TOL * max(1.0, target)
+
+
+def exceeds(x: float, limit: float) -> bool:
+    """True when ``x`` is above ``limit`` by more than rounding noise; NaN exceeds."""
+    return not x <= limit * (1.0 + ROUND_TOL)
 
 
 def fmt_g(value: float) -> str:
@@ -269,6 +300,6 @@ def perpendicular(r: Vec2, orientation: int) -> Vec2:
     """
     if orientation not in (1, -1):
         raise ValueError(f"orientation must be +1 or -1, got {orientation!r}")
-    if not abs(r.norm() - 1.0) <= 1e-9:
+    if not abs(r.norm() - 1.0) <= CHECK_TOL:
         raise ValueError(f"r must be a unit vector, got norm {r.norm()}")
     return Vec2(-r.y * orientation, r.x * orientation)

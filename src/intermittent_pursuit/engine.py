@@ -21,7 +21,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import EnumerationCapError, GameConfig, PayoffSpec, Vec2, fmt_g
+from .core import (CHECK_TOL, ROUND_TOL, TIME_EPS, EnumerationCapError, GameConfig,
+                   PayoffSpec, Vec2, exceeds, fmt_g)
 from .strategies import (
     EquilibriumEvader,
     EvaderAction,
@@ -47,7 +48,6 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-_TIME_EPS = 1e-15
 # Most prefix-tree leaves simulated, and branches expanded, is 2^_ENUMERATION_CAP.
 _ENUMERATION_CAP = 20
 
@@ -157,11 +157,11 @@ def _capture_root(
     # Grazing contact: the discriminant of a true tangency can round to a
     # tiny negative value, so clamp within a relative tolerance.
     if disc < 0.0:
-        if disc < -1e-12 * max(b * b, abs(4.0 * a * c)):
+        if disc < -ROUND_TOL * max(b * b, abs(4.0 * a * c)):
             return None
         disc = 0.0
     s = 2.0 * c / (-b + math.sqrt(disc))  # smaller root, cancellation-free
-    if s <= horizon + 1e-12 * max(1.0, horizon):
+    if s <= horizon + ROUND_TOL * max(1.0, horizon):
         return min(s, horizon)
     return None
 
@@ -196,7 +196,7 @@ def _pursuer_velocity(action: PursuerAction) -> Vec2:
     heading = action.heading
     if not isinstance(heading, Vec2):
         raise ValueError(f"moving action needs a heading vector, got {heading!r}")
-    if not abs(heading.norm() - 1.0) <= 1e-9:  # NaN fails too
+    if not abs(heading.norm() - 1.0) <= CHECK_TOL:  # NaN fails too
         raise ValueError(f"heading must be a unit vector, norm {heading.norm()}")
     return heading * float(gamma)
 
@@ -205,7 +205,7 @@ def _evader_velocity(action: EvaderAction, config: GameConfig) -> Vec2:
     velocity = action.velocity
     if not isinstance(velocity, Vec2):
         raise ValueError(f"evader velocity must be a Vec2, got {velocity!r}")
-    if not velocity.norm() <= config.nu * (1.0 + 1e-12):  # NaN fails too
+    if exceeds(velocity.norm(), config.nu):
         raise ValueError(
             f"evader speed {velocity.norm()} exceeds the cap {config.nu}"
         )
@@ -241,7 +241,7 @@ def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact):
         captured, capture_time = True, 0.0
 
     events = 0
-    while not captured and t < config.t_f - _TIME_EPS:
+    while not captured and t < config.t_f - TIME_EPS:
         events += 1
         if events > max_events:
             raise RuntimeError(f"event budget {max_events} exhausted at t={t}")
@@ -266,7 +266,7 @@ def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact):
 
         t_next = config.t_f
         for review in (p_action.review_at, e_action.review_at):
-            if review is not None and t + _TIME_EPS < review < t_next:
+            if review is not None and t + TIME_EPS < review < t_next:
                 t_next = review
         t_next = min(t_next, config.t_f)
 

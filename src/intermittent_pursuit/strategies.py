@@ -22,18 +22,11 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    BudgetViolationError,
-    GameConfig,
-    RegionNotCoveredError,
-    Vec2,
-    line_of_sight,
-    perpendicular,
-)
-from .value import _REACH_TOL, in_loose_region, reach_factor, trigger_coefficient
+from .core import (CHECK_TOL, ROUND_TOL, BudgetViolationError, GameConfig,
+                   RegionNotCoveredError, Vec2, before, line_of_sight, perpendicular)
+from .value import in_loose_region, reach_factor, sensing_delay, trigger_coefficient
 
 __all__ = [
-    "ARRIVAL_TOL",
     "SensingLog",
     "PursuerInfo",
     "EvaderInfo",
@@ -54,10 +47,6 @@ __all__ = [
     "build_pursuer",
     "build_evader",
 ]
-
-# Distance below which "the pursuer has reached the sensed point" holds.
-ARRIVAL_TOL = 1e-9
-
 
 @dataclass(frozen=True, slots=True)
 class SensingLog:
@@ -182,7 +171,7 @@ class ArrivalSensingPursuer:
             # Endgame: the evader cannot escape the capture disc of this ray.
             return PursuerAction(line_of_sight(anchor_p, anchor_e), 1.0)
         remaining = info.own.dist(anchor_e)
-        if remaining <= ARRIVAL_TOL:
+        if remaining <= CHECK_TOL:  # arrived at the sensed point
             if info.log.budget_remaining > 0:
                 return PursuerAction(None, 0.0, sense_now=True)
             return PursuerAction(None, 0.0)  # budget exhausted: park at the stale fix
@@ -214,12 +203,12 @@ class WaitingPursuer:
         tau = cfg.t_f - anchor_t
         if rho > 0.0 and self._time_to_spare(rho, tau, ell, cfg):
             remaining = info.own.dist(anchor_e)
-            if remaining > ARRIVAL_TOL:
+            if remaining > CHECK_TOL:
                 return PursuerAction(
                     line_of_sight(info.own, anchor_e), 1.0, review_at=info.time + remaining
                 )
-            t_sense = anchor_t + (1.0 - cfg.nu) * tau / (1.0 - cfg.nu ** (ell + 1))
-            if info.time < t_sense - 1e-12 * max(1.0, t_sense):
+            t_sense = anchor_t + sensing_delay(cfg.nu, ell, tau)
+            if before(info.time, t_sense):
                 return PursuerAction(None, 0.0, review_at=t_sense)
             if ell > 0:
                 return PursuerAction(None, 0.0, sense_now=True)
@@ -230,7 +219,7 @@ class WaitingPursuer:
     def _time_to_spare(rho: float, tau: float, ell: int, cfg: GameConfig) -> bool:
         if cfg.nu ** (ell + 1) * rho <= cfg.r_cap:
             return False  # enough budget to corner the evader: just chase
-        return tau > reach_factor(cfg.nu, ell) * rho + _REACH_TOL * max(1.0, tau)
+        return tau > reach_factor(cfg.nu, ell) * rho + ROUND_TOL * max(1.0, tau)
 
 
 class SelfTriggeredPursuer:
@@ -253,7 +242,7 @@ class SelfTriggeredPursuer:
         if info.log.budget_remaining == 0:
             return PursuerAction(heading, 1.0)
         t_next = anchor_t + trigger_coefficient(cfg.nu) * rho
-        if info.time >= t_next - 1e-12 * max(1.0, t_next):
+        if not before(info.time, t_next):
             return PursuerAction(heading, 1.0, sense_now=True)
         return PursuerAction(heading, 1.0, review_at=t_next)
 

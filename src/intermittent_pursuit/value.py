@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PayoffSpec, RegionNotCoveredError
+from .core import CHECK_TOL, ROUND_TOL, PayoffSpec, RegionNotCoveredError
 
 __all__ = [
     "trigger_coefficient",
@@ -34,6 +34,7 @@ __all__ = [
     "sense_count_arrival",
     "travel_budget",
     "reach_factor",
+    "sensing_delay",
     "CAPTURE_REGION",
     "TIME_LIMITED",
     "WAIT_REGION",
@@ -43,7 +44,6 @@ __all__ = [
     "STAGE0_CHASE",
     "CASE_TAGS",
     "ValueBound",
-    "stage0_bound",
     "in_loose_region",
     "in_loose_region_budgeted",
     "value_bound",
@@ -53,27 +53,20 @@ __all__ = [
     "degradation_report",
 ]
 
-# Relative nudge applied before floor/ceil so exact powers do not flip the
-# integer by one unit of floating-point noise.
-_NUDGE = 1e-12
-
-# Relative tolerance on the wait-or-chase boundary tau = reach_factor(nu, ell)*rho:
-# a state with tau <= reach*rho + _REACH_TOL*max(1, tau) is short of time and
-# chases.  ``value_bound`` and ``WaitingPursuer`` must draw the same boundary.
-_REACH_TOL = 1e-12
-
 
 def _check_nu(nu: float) -> None:
     if not (isinstance(nu, (int, float)) and 0.0 < nu < 1.0):
         raise ValueError(f"nu must lie strictly in (0, 1), got {nu!r}")
 
 
+# Floor and ceiling nudged by ROUND_TOL, so that an exact power does not flip
+# the integer by one unit of rounding noise.
 def _floor_nudged(q: float) -> int:
-    return math.floor(q + _NUDGE * max(1.0, abs(q)))
+    return math.floor(q + ROUND_TOL * max(1.0, abs(q)))
 
 
 def _ceil_nudged(q: float) -> int:
-    return math.ceil(q - _NUDGE * max(1.0, abs(q)))
+    return math.ceil(q - ROUND_TOL * max(1.0, abs(q)))
 
 
 def trigger_coefficient(nu: float) -> float:
@@ -182,6 +175,16 @@ def reach_factor(nu: float, ell: int) -> float:
     if not isinstance(ell, int) or ell < 0:
         raise ValueError(f"ell must be a nonnegative integer, got {ell!r}")
     return (1.0 - nu ** (ell + 1)) / (1.0 - nu)
+
+
+def sensing_delay(nu: float, ell: int, tau: float) -> float:
+    """Time from a fix to the waiting pursuer's next one: (1 - nu) * tau / (1 - nu^(ell+1)).
+
+    ``tau`` and ``ell`` are the time and the budget left at the fix."""
+    _check_nu(nu)
+    if not isinstance(ell, int) or ell < 0:
+        raise ValueError(f"ell must be a nonnegative integer, got {ell!r}")
+    return (1.0 - nu) * tau / (1.0 - nu ** (ell + 1))
 
 
 # Case tags; fixed strings, also the vocabulary of the value-grid CSV.
@@ -322,18 +325,6 @@ def in_loose_region_budgeted(rho: float, tau: float, ell: int, nu: float, r_cap:
     return _in_slack(rho, tau, ell, nu, r_cap, reach_factor(nu, ell))
 
 
-def stage0_bound(rho: float, tau: float, phi: PayoffSpec, nu: float) -> ValueBound:
-    """Value bound with an exhausted sensing budget: ``value_bound`` at ell = 0.
-
-    Case split: 0 if the pursuer can corner the evader (tau >= rho and
-    nu*rho <= r_cap); otherwise phi(nu*tau + max(rho - tau, 0)), which is the
-    chase outcome when time is short (tau < rho) and the go-to-the-point-and-
-    stop outcome when it is not.  The stop case is tight only outside the
-    slack region.
-    """
-    return value_bound(rho, tau, 0, phi, nu)
-
-
 def value_bound(rho, tau, ell: int, phi: PayoffSpec, nu: float) -> ValueBound:
     """Value bound for separation rho, remaining time tau, remaining budget ell.
 
@@ -349,11 +340,18 @@ def value_bound(rho, tau, ell: int, phi: PayoffSpec, nu: float) -> ValueBound:
       (the pursuer banks time at the sensed point before spending sensings).
 
     Queries on the time_limited/wait_region boundary resolve to time_limited;
-    the two branches agree there (both give phi(nu^(ell+1)*rho)).  A query
-    with rho <= r_cap is capture at the query instant and returns 0.
-    ell = 0 is the stage-0 split of ``stage0_bound``.  The tightness flag
-    follows the budget's slack predicate even where the value comes from the
-    capture case.
+    the two branches agree there (both give phi(nu^(ell+1)*rho)), and the
+    time_limited distance is clamped at 0 in the ``ROUND_TOL`` band just
+    above it.  A query with rho <= r_cap is capture at the query instant and
+    returns 0.
+
+    With an exhausted budget (ell = 0) the split is: 0 if the pursuer can
+    corner the evader (tau >= rho and nu*rho <= r_cap); otherwise
+    phi(nu*tau + max(rho - tau, 0)), which is the chase outcome when time is
+    short (tau < rho) and the go-to-the-point-and-stop outcome when it is
+    not.  The stop case is tight only outside the slack region.  The
+    tightness flag follows the budget's slack predicate even where the value
+    comes from the capture case.
     """
     if not isinstance(ell, int) or ell < 0:
         raise ValueError(f"ell must be a nonnegative integer, got {ell!r}")
@@ -371,8 +369,11 @@ def value_bound(rho, tau, ell: int, phi: PayoffSpec, nu: float) -> ValueBound:
     shrink = nu ** (ell + 1)
     reach = reach_per_rho * rho
     capture = (rho <= r_cap) | ((tau >= reach) & (shrink * rho <= r_cap))
-    short = tau <= reach + _REACH_TOL * _where(tau > 1.0, tau, 1.0)  # max(1.0, tau)
-    distance = _where(short, nu * tau + rho - tau, (1.0 - nu) / (1.0 - shrink) * shrink * tau)
+    # The wait-or-chase boundary; WaitingPursuer._time_to_spare draws the same one.
+    short = tau <= reach + ROUND_TOL * _where(tau > 1.0, tau, 1.0)  # max(1.0, tau)
+    chase = nu * tau + rho - tau
+    chase = _where(chase < 0.0, 0.0, chase)  # max(chase, 0.0)
+    distance = _where(short, chase, (1.0 - nu) / (1.0 - shrink) * shrink * tau)
     return _bound(phi, capture, distance, (capture, short),
                   (CAPTURE_REGION, TIME_LIMITED, WAIT_REGION), slack)
 
@@ -434,7 +435,7 @@ class DegradationReport:
         for n, delta in enumerate(self.deltas):
             if self.betas:
                 floor = self.betas[n] * self.continuous_payoff
-                if delta < floor - 1e-9 * max(1.0, abs(floor)):
+                if delta < floor - CHECK_TOL * max(1.0, abs(floor)):
                     raise ValueError(
                         f"degradation floor violated at n={n}: "
                         f"delta={delta} < beta*continuous={floor}"
@@ -464,7 +465,7 @@ def degradation_report(rho0: float, t_f: float, nu: float, phi: PayoffSpec) -> D
         if n < n_star:
             pooled = (1.0 - nu) / (1.0 - nu ** (n + 1)) * nu ** (n + 1) * t_f
             direct = phi.evaluate(pooled) - payoff_continuous
-            if abs(direct - delta) > 1e-12 * max(1.0, abs(direct)):
+            if abs(direct - delta) > ROUND_TOL * max(1.0, abs(direct)):
                 raise RuntimeError(
                     f"internal: wait-form delta {direct} disagrees with "
                     f"value-bound delta {delta} at n={n}"

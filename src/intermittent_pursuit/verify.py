@@ -14,16 +14,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    GameConfig,
-    PayoffSpec,
-    Vec2,
-    line_of_sight,
-    perpendicular,
-)
+from .core import (CHECK_TOL, ROUND_TOL, TIME_EPS, GameConfig, PayoffSpec, Vec2, before,
+                   exceeds, line_of_sight, perpendicular)
 from .engine import Outcome, _play, exact_expected_payoff, simulate
 from .strategies import (
-    ARRIVAL_TOL,
     ArrivalSensingPursuer,
     EquilibriumEvader,
     PursuerAction,
@@ -35,7 +29,7 @@ from .strategies import (
     theta_stream,
     trial_rng,
 )
-from .value import sense_count_arrival, travel_budget, value_bound
+from .value import sense_count_arrival, sensing_delay, travel_budget, value_bound
 
 __all__ = [
     "VerificationReport",
@@ -59,15 +53,13 @@ __all__ = [
     "default_evader_config",
 ]
 
-# A trial fails when it violates its bound by more than this.
-_TOLERANCE = 1e-9
 # Most constant-velocity legs of a random piecewise evader.
 _MAX_LEGS = 5
 
 
 @dataclass(frozen=True, slots=True)
 class VerificationReport:
-    """Outcome of one verification suite."""
+    """Outcome of one verification suite; a trial fails past ``tolerance`` (``CHECK_TOL``)."""
 
     suite: str
     trials: int
@@ -96,7 +88,7 @@ def _finish_report(suite, trials, worst, failures, notes) -> VerificationReport:
     return VerificationReport(
         suite=suite,
         trials=trials,
-        tolerance=_TOLERANCE,
+        tolerance=CHECK_TOL,
         worst_violation=worst,
         failures=tuple(failures),
         passed=not failures,
@@ -131,7 +123,7 @@ class EndpointDeviationPursuer:
         length = offset.norm()
         if length == 0.0:
             return PursuerAction(None, 0.0)
-        if length > cfg.t_f * (1.0 + 1e-12):
+        if exceeds(length, cfg.t_f):
             raise ValueError(f"endpoint offset {length} is beyond reach {cfg.t_f}")
         return PursuerAction(offset * (1.0 / length), length / cfg.t_f)
 
@@ -154,11 +146,11 @@ class EarlyWaitPursuer:
     def act(self, info: PursuerInfo) -> PursuerAction:
         if len(info.log.times) > 1 or info.log.budget_remaining == 0:
             return self._tail.act(info)
-        if info.time >= self.sense_time - 1e-12 * max(1.0, self.sense_time):
+        if not before(info.time, self.sense_time):
             return PursuerAction(None, 0.0, sense_now=True)
         _, anchor_e, _, _ = info.log.anchor()
         remaining = info.own.dist(anchor_e)
-        if remaining > ARRIVAL_TOL:
+        if remaining > CHECK_TOL:
             arrive = info.time + remaining
             return PursuerAction(
                 line_of_sight(info.own, anchor_e), 1.0,
@@ -191,14 +183,14 @@ class FirstLegDeviationPursuer:
         rho = cfg.initial_distance
         walk_end = min(rho, cfg.t_f)
         ell = info.log.budget_remaining
-        t_sense = (1.0 - cfg.nu) * cfg.t_f / (1.0 - cfg.nu ** (ell + 1))
-        if info.time < walk_end - 1e-12 * max(1.0, walk_end) and self.gamma > 0.0:
+        t_sense = sensing_delay(cfg.nu, ell, cfg.t_f)
+        if before(info.time, walk_end) and self.gamma > 0.0:
             bearing = line_of_sight(cfg.x_p0, cfg.x_e0)
             return PursuerAction(_rotated(bearing, self.angle), self.gamma,
                                  review_at=walk_end)
         if ell == 0:
             return PursuerAction(None, 0.0)
-        if info.time < t_sense - 1e-12 * max(1.0, t_sense):
+        if before(info.time, t_sense):
             return PursuerAction(None, 0.0, review_at=t_sense)
         return PursuerAction(None, 0.0, sense_now=True)
 
@@ -279,7 +271,7 @@ def pursuer_guarantee_check(
         payoff = simulate(config, WaitingPursuer(), evader).outcome.payoff
         violation = payoff - bound.value
         worst = max(worst, violation)
-        if violation > _TOLERANCE:
+        if violation > CHECK_TOL:
             failures.append(f"{label}: payoff {payoff:.12g} exceeds bound {bound.value:.12g}")
     notes = [
         f"bound {bound.value:.12g} ({bound.case_tag}, tight={bound.is_tight})",
@@ -354,7 +346,7 @@ def evader_guarantee_check(
     skipped = 0
     for a1 in grid.alpha1_values:
         for a2 in grid.alpha2_values:
-            if math.hypot(a1, a2) > config.t_f * (1.0 + 1e-12):
+            if exceeds(math.hypot(a1, a2), config.t_f):
                 skipped += 1
                 continue
             deviations.append((f"endpoint({a1:.6g},{a2:.6g})",
@@ -364,9 +356,8 @@ def evader_guarantee_check(
             deviations.append((f"first_leg(angle={angle:.3g},gamma={gamma:.3g})",
                                FirstLegDeviationPursuer(angle, gamma)))
     if early_wait_count > 0 and config.n >= 1:
-        # Prescribed first hold lasts (1 - nu) tau / (1 - nu^(n+1)); try
-        # sensing at fractions of it.
-        hold = (1.0 - config.nu) * config.t_f / (1.0 - config.nu ** (config.n + 1))
+        # Try sensing at fractions of the prescribed first hold.
+        hold = sensing_delay(config.nu, config.n, config.t_f)
         for frac in np.linspace(0.15, 0.9, early_wait_count):
             t_s = float(frac) * hold
             deviations.append((f"early_sense({t_s:.6g})", EarlyWaitPursuer(t_s)))
@@ -374,8 +365,8 @@ def evader_guarantee_check(
 
     # Stop case with no budget: the straight run to the free fix, at the
     # pace that arrives exactly at the horizon, must tie the bound.
-    check_optimum = (config.n == 0 and config.t_f >= rho0 * (1.0 - 1e-12)
-                     and rho0 <= config.t_f * (1.0 + 1e-12))
+    check_optimum = (config.n == 0 and config.t_f >= rho0 * (1.0 - ROUND_TOL)
+                     and not exceeds(rho0, config.t_f))
     if check_optimum:
         deviations.append(("endpoint_opt", EndpointDeviationPursuer(rho0, 0.0)))
 
@@ -390,11 +381,11 @@ def evader_guarantee_check(
         worst = max(worst, violation)
         if expected < min_payoff:
             min_payoff, argmin = expected, label
-        if violation > _TOLERANCE:
+        if violation > CHECK_TOL:
             failures.append(f"{label}: E[payoff] {expected:.12g} below bound {bound.value:.12g}")
         if label == "prescribed":
             prescribed_gap = expected - bound.value
-        if label == "endpoint_opt" and abs(expected - bound.value) > _TOLERANCE:
+        if label == "endpoint_opt" and abs(expected - bound.value) > CHECK_TOL:
             failures.append(f"endpoint_opt: E[payoff] {expected:.12g} does not tie the bound "
                             f"{bound.value:.12g}")
     notes.append(f"minimum E[payoff] {min_payoff:.12g} at {argmin}")
@@ -436,16 +427,16 @@ def _jensen_scan(points):
         violation = claimed - expected
         if violation > worst:
             worst, worst_point = violation, (rho, tau, nu, a1, a2)
-        if violation > _TOLERANCE:
+        if violation > CHECK_TOL:
             failures.append(
                 f"(rho={rho:.6g}, tau={tau:.6g}, nu={nu:.6g}, a1={a1:.6g}, a2={a2:.6g}): "
                 f"E[g] {expected:.12g} < claimed floor {claimed:.12g}"
             )
-        if a2 == 0.0 and abs(violation) > 1e-12 * max(1.0, claimed):
+        if a2 == 0.0 and abs(violation) > ROUND_TOL * max(1.0, claimed):
             equality_ok = False
         # The alpha2-free floor is the same expression with alpha2 dropped;
         # it must hold with room to spare.
-        if expected < math.hypot(rho - a1, nu * tau) - 1e-12:
+        if expected < math.hypot(rho - a1, nu * tau) - ROUND_TOL:
             corrected_ok = False
     return worst, worst_point, corrected_ok, equality_ok, failures
 
@@ -471,7 +462,7 @@ def jensen_bound_check(
         a2_grid = np.linspace(-0.5, 0.5, 21)
         alphas = [(float(a1), float(a2)) for a1 in a1_grid for a2 in a2_grid]
     for a1, a2 in alphas:
-        if math.hypot(a1, a2) > tau * (1.0 + 1e-12):
+        if exceeds(math.hypot(a1, a2), tau):
             raise ValueError(f"deviation ({a1}, {a2}) is beyond the pursuer's reach {tau}")
     points = [(rho, tau, nu, a1, a2) for a1, a2 in alphas]
     worst, worst_point, corrected_ok, equality_ok, failures = _jensen_scan(points)
@@ -555,17 +546,17 @@ def capture_time_bound_check(
         path = result.pursuer_trajectory.path_length()
         violation = capture_time - time_bound
         worst = max(worst, violation)
-        if violation > _TOLERANCE:
+        if violation > CHECK_TOL:
             failures.append(f"{label}: capture at {capture_time:.12g} after bound {time_bound:.12g}")
         if senses > max_senses:
             failures.append(f"{label}: {senses} sensings exceed the budget bound {max_senses}")
-        if path > capture_time + 1e-9:
+        if path > capture_time + CHECK_TOL:
             failures.append(f"{label}: path {path:.12g} longer than travel time {capture_time:.12g}")
-        if path > max_travel + 1e-9:
+        if path > max_travel + CHECK_TOL:
             failures.append(f"{label}: path {path:.12g} beyond travel budget {max_travel:.12g}")
-        if label == "radial" and abs(capture_time - time_bound) > 1e-9 * max(1.0, time_bound):
+        if label == "radial" and abs(capture_time - time_bound) > CHECK_TOL * max(1.0, time_bound):
             failures.append(f"radial: capture {capture_time:.12g} does not attain {time_bound:.12g}")
-        if label == "stationary" and abs(capture_time - (rho0 - r_cap)) > 1e-9 * max(1.0, rho0):
+        if label == "stationary" and abs(capture_time - (rho0 - r_cap)) > CHECK_TOL * max(1.0, rho0):
             failures.append(f"stationary: capture {capture_time:.12g} != {rho0 - r_cap:.12g}")
     notes = [f"time bound {time_bound:.12g}, sensing bound {max_senses}, "
              f"travel budget {max_travel:.12g}"]
@@ -590,7 +581,7 @@ def dense_oracle(config: GameConfig, pursuer, evader, dt: float = 1e-3,
         j_hi = math.floor(t_next / dt)
         sample_times = np.arange(j_lo, j_hi + 1, dtype=float) * dt
         sample_times = np.append(sample_times, t_next)
-        sample_times = sample_times[sample_times > t + 1e-15]
+        sample_times = sample_times[sample_times > t + TIME_EPS]
 
         offsets = sample_times - t
         dx = (x_e.x - x_p.x) + (v_e.x - v_p.x) * offsets
@@ -689,12 +680,12 @@ def oracle_agreement_check(n_scenarios: int = 50, dt: float = 1e-3,
         if eng.outcome.captured:
             delta = orc.capture_time - eng.outcome.capture_time
             worst = max(worst, delta - dt, -delta)
-            if not -1e-9 <= delta <= dt * (1.0 + config.nu) + 1e-9:
+            if not -CHECK_TOL <= delta <= dt * (1.0 + config.nu) + CHECK_TOL:
                 failures.append(f"{label}: capture-time gap {delta:.6g} outside the envelope")
         else:
             gap = abs(orc.payoff - eng.outcome.payoff)
             worst = max(worst, gap)
-            if gap > _TOLERANCE:
+            if gap > CHECK_TOL:
                 failures.append(f"{label}: payoff gap {gap:.6g}")
             if orc.sensing_times != eng.outcome.sensing_times:
                 failures.append(f"{label}: sensing schedules differ")

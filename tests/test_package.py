@@ -1,9 +1,11 @@
 """Package-level contracts: the public namespace and a single-process import."""
 
+import ast
 import inspect
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import intermittent_pursuit as ip
@@ -39,3 +41,19 @@ def test_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]", out
+
+
+def test_tolerance_literals_live_only_in_the_policy():
+    """Each policy tolerance is spelt as a number once, in core's policy block.
+
+    Number tokens, not text, are scanned, so strings and docstrings that
+    quote a tolerance (such as "holds to 1e-12") are left alone.
+    """
+    policy = {1e-15: "TIME_EPS = 1e-15", 1e-12: "ROUND_TOL = 1e-12", 1e-9: "CHECK_TOL = 1e-9"}
+    found = []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        with open(path, "rb") as handle:
+            for token in tokenize.tokenize(handle.readline):
+                if token.type == tokenize.NUMBER and ast.literal_eval(token.string) in policy:
+                    found.append((path.name, token.line.strip()))
+    assert sorted(found) == sorted(("core.py", line) for line in policy.values())

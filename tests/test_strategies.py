@@ -5,7 +5,7 @@ import math
 import pytest
 
 from intermittent_pursuit import (
-    ARRIVAL_TOL,
+    CHECK_TOL,
     ArrivalSensingPursuer,
     BudgetViolationError,
     CaptureAvoidingEvader,
@@ -335,5 +335,5 @@ class TestBuilders:
 
 def test_arrival_tolerance_is_tiny():
     # strategies treat sub-tolerance gaps as arrival; keep it well below r_cap scales
-    assert 0 < ARRIVAL_TOL <= 1e-6
-    assert math.isfinite(ARRIVAL_TOL)
+    assert 0 < CHECK_TOL <= 1e-6
+    assert math.isfinite(CHECK_TOL)

@@ -16,6 +16,7 @@ from intermittent_pursuit import (
     CASE_TAGS,
     DegradationReport,
     PayoffSpec,
+    ROUND_TOL,
     RegionNotCoveredError,
     ValueBound,
     continuous_sensing_payoff,
@@ -26,9 +27,9 @@ from intermittent_pursuit import (
     reach_factor,
     sense_count_arrival,
     sense_count_self_triggered,
+    sensing_delay,
     self_triggered_contraction,
     self_triggered_contraction_raw,
-    stage0_bound,
     travel_budget,
     trigger_coefficient,
     value_bound,
@@ -180,6 +181,17 @@ def test_reach_factor_is_geometric_sum():
         reach_factor(0.7, -1)
 
 
+def test_sensing_delay_spreads_the_time_over_the_reach():
+    # the hold before each fix is tau / reach_factor(nu, ell)
+    for nu in (0.3, 0.7, 0.9):
+        for ell in range(6):
+            assert sensing_delay(nu, ell, 5.0) * reach_factor(nu, ell) == pytest.approx(5.0)
+    with pytest.raises(ValueError, match="ell"):
+        sensing_delay(0.7, -1, 5.0)
+    with pytest.raises(ValueError, match="nu"):
+        sensing_delay(1.0, 2, 5.0)
+
+
 # ---------------------------------------------------------------------------
 # value bound
 # ---------------------------------------------------------------------------
@@ -187,19 +199,19 @@ def test_reach_factor_is_geometric_sum():
 
 class TestStage0Bound:
     def test_capture_case(self):
-        b = stage0_bound(0.1, 1.0, HINGE, 0.7)
+        b = value_bound(0.1, 1.0, 0, HINGE, 0.7)
         assert b == ValueBound(0.0, "stage0_case1", True)
 
     def test_chase_case(self):
         # tau < rho: best effort closes at rate (1 - nu)
-        b = stage0_bound(2.0, 1.0, HINGE, 0.7)
+        b = value_bound(2.0, 1.0, 0, HINGE, 0.7)
         assert b.case_tag == "stage0_case3"
         assert b.value == pytest.approx(HINGE.evaluate(0.7 * 1.0 + 2.0 - 1.0), abs=1e-15)
         assert b.is_tight
 
     def test_stop_case_frozen_example(self):
         # rho=1, tau=2: evader banks nu*tau of distance from the stop point
-        b = stage0_bound(1.0, 2.0, HINGE, 0.7)
+        b = value_bound(1.0, 2.0, 0, HINGE, 0.7)
         assert b.case_tag == "stage0_case2a"
         assert b.value == pytest.approx(1.3, abs=1e-12)
         assert b.is_tight
@@ -208,7 +220,7 @@ class TestStage0Bound:
         nu = 0.7
         rho = 0.16  # nu*rho = 0.112 in (0.1, 0.1*sqrt(1.49) = 0.12207]
         assert in_loose_region(rho, 1.0, nu, 0.1)
-        b = stage0_bound(rho, 1.0, HINGE, nu)
+        b = value_bound(rho, 1.0, 0, HINGE, nu)
         assert b.case_tag == "stage0_case2b"
         assert not b.is_tight
 
@@ -221,7 +233,6 @@ class TestValueBound:
         assert b.is_tight
 
     def test_zero_budget_delegates(self):
-        assert value_bound(1.0, 2.0, 0, HINGE, 0.7) == stage0_bound(1.0, 2.0, HINGE, 0.7)
         # rho below r_cap keeps the stage-0 tag when the budget is exhausted
         assert value_bound(0.05, 1.0, 0, HINGE, 0.7).case_tag == "stage0_case1"
         # but reports plain capture when sensings remain
@@ -258,6 +269,23 @@ class TestValueBound:
                 else:
                     assert b.case_tag == "time_limited"
                 assert b.value == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    def test_time_limited_distance_clamped_above_reach_boundary(self):
+        """In the ROUND_TOL band above tau = reach * rho, nu*tau + rho - tau rounds below 0.
+
+        A valid state with a tiny capture radius must not raise there: the
+        chase distance is clamped at 0, in the scalar and the array path.
+        """
+        nu, ell, rho = 0.05, 8, 0.2
+        phi = PayoffSpec("hinge", 1e-13)
+        tau = reach_factor(nu, ell) * rho + 0.9e-12
+        b = value_bound(rho, tau, ell, phi, nu)
+        assert b.case_tag == "time_limited"
+        assert abs(b.value - phi.evaluate(nu ** (ell + 1) * rho)) <= ROUND_TOL
+        arrays = value_bound(np.array([rho, rho]), np.array([tau, tau]), ell, phi, nu)
+        for i in range(2):
+            assert (arrays.value[i], arrays.case_tag[i], arrays.is_tight[i]) == (
+                b.value, b.case_tag, b.is_tight)
 
     def test_boundary_continuity_sweep(self):
         """Value is continuous across the reach boundary: eps-step gap is O(eps)."""
@@ -412,8 +440,6 @@ def test_array_scalar_and_longhand_bounds_agree_property(grid):
             expected = _longhand_bound(rho, tau, ell, phi, nu)
             assert (scalar.value, scalar.case_tag, scalar.is_tight) == expected, (rho, tau)
             assert (arrays.value[i, j], arrays.case_tag[i, j], arrays.is_tight[i, j]) == expected
-            if ell == 0:
-                assert stage0_bound(rho, tau, phi, nu) == scalar
 
 
 @settings(max_examples=60)

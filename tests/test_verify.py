@@ -3,8 +3,11 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from intermittent_pursuit import (
+    CHECK_TOL,
     ArrivalSensingPursuer,
     ContinuousPursuer,
     DeviationGrid,
@@ -36,6 +39,7 @@ from intermittent_pursuit import (
     simulate,
     trial_rng,
 )
+from intermittent_pursuit.verify import _radial_speed_at_capture
 from conftest import CrookedHeading, Speeder, make_config
 
 
@@ -226,6 +230,39 @@ class TestDenseOracle:
         cfg = make_config()
         with pytest.raises(ValueError):
             dense_oracle(cfg, WaitingPursuer(), ScriptedEvader(()), dt=0.0)
+
+    @settings(max_examples=60)
+    @given(nu=st.floats(0.1, 0.9), r_cap=st.floats(0.02, 0.3), rho0=st.floats(0.5, 3.0),
+           slack=st.floats(1.05, 2.0), speed=st.floats(0.0, 1.0),
+           heading=st.floats(0.0, 2.0 * math.pi), miss=st.floats(0.0, 0.9),
+           miss_angle=st.floats(0.0, 2.0 * math.pi))
+    def test_capture_root_matches_oracle_on_transversal_approaches_property(
+            self, nu, r_cap, rho0, slack, speed, heading, miss, miss_angle):
+        """The engine's root and the dense scan agree on one constant-velocity segment pair.
+
+        The evader runs one leg to the horizon; the pursuer runs straight to a
+        point within ``miss * r_cap`` of where that leg ends, so every game
+        captures.  As in ``oracle_agreement_check``, draws that graze (radial
+        speed at capture of -0.05 or more) or capture within 2 dt of either
+        end are dropped; the oracle must then see capture no earlier than the
+        engine and at most dt * (1 + nu) later.
+        """
+        dt = 1e-3
+        t_f = slack * (rho0 + r_cap) / (1.0 - nu)
+        cfg = make_config(nu=nu, r_cap=r_cap, rho0=rho0, t_f=t_f, n=0)
+        v_e = Vec2(math.cos(heading), math.sin(heading)) * (speed * nu)
+        end = (cfg.x_e0 + v_e * t_f
+               + Vec2(math.cos(miss_angle), math.sin(miss_angle)) * (miss * r_cap))
+        pursuer, evader = EndpointDeviationPursuer(end.x, end.y), ScriptedEvader([(t_f, v_e)])
+        result = simulate(cfg, pursuer, evader)
+        assert result.outcome.captured
+        assert len(result.pursuer_trajectory.segments) == 1
+        t = result.outcome.capture_time
+        assume(2.0 * dt <= t <= t_f - 2.0 * dt)
+        assume(_radial_speed_at_capture(result) < -0.05)
+        oracle = dense_oracle(cfg, pursuer, evader, dt)
+        assert oracle.captured
+        assert -CHECK_TOL <= oracle.capture_time - t <= dt * (1.0 + nu) + CHECK_TOL
 
     @pytest.mark.parametrize("pursuer, evader, message", [
         (CrookedHeading(), RadialEvader(), "unit vector"),
