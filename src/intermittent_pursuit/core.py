@@ -286,11 +286,12 @@ def physical_velocity(v_bar: Vec2, raw: RawSpeeds) -> Vec2:
 
 def line_of_sight(x_p: Vec2, x_e: Vec2) -> Vec2:
     """Unit vector pointing from the pursuer's position to the evader's."""
-    d = x_e - x_p
-    norm = d.norm()
+    dx, dy = x_e.x - x_p.x, x_e.y - x_p.y
+    norm = math.hypot(dx, dy)
     if norm == 0.0:
         raise DegenerateDirectionError("line of sight undefined for coincident points")
-    return d * (1.0 / norm)
+    k = 1.0 / norm
+    return Vec2(dx * k, dy * k)
 
 
 def perpendicular(r: Vec2, orientation: int) -> Vec2:

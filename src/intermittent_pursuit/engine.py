@@ -10,11 +10,13 @@ Sensing is resolved before motion at each event: if the pursuer's action
 asks to sense, the fix is recorded and the pursuer re-queried, so the
 motion command issued for the interval always reflects the newest fix.  The
 evader is queried after the pursuer, and sees the updated log.
+
+The loop advances positions as float pairs and builds one ``Vec2`` per
+player per event, for the strategies' info objects and the ``Segment``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -138,19 +140,18 @@ def payoff_of(phi: PayoffSpec, captured: bool, final_distance: float) -> float:
     return phi.evaluate(final_distance)
 
 
-def _capture_root(
-    p0: Vec2, v_p: Vec2, e0: Vec2, v_e: Vec2, r_cap: float, horizon: float
-) -> Optional[float]:
-    """First s in [0, horizon] with |(e0 - p0) + s (v_e - v_p)| <= r_cap, else None."""
-    d0 = e0 - p0
-    w = v_e - v_p
-    c = d0.dot(d0) - r_cap * r_cap
+def _capture_root(px: float, py: float, vpx: float, vpy: float, ex: float, ey: float,
+                  vex: float, vey: float, r_cap: float, horizon: float) -> Optional[float]:
+    """First s in [0, horizon] with |(e - p) + s (v_e - v_p)| <= r_cap, else None."""
+    dx, dy = ex - px, ey - py
+    wx, wy = vex - vpx, vey - vpy
+    c = (dx * dx + dy * dy) - r_cap * r_cap
     if c <= 0.0:
         return 0.0
-    a = w.dot(w)
+    a = wx * wx + wy * wy
     if a == 0.0:
         return None
-    b = 2.0 * d0.dot(w)
+    b = 2.0 * (dx * wx + dy * wy)
     if b >= 0.0:
         return None  # separation is nondecreasing on [0, inf)
     disc = b * b - 4.0 * a * c
@@ -179,12 +180,13 @@ def detect_capture(p_seg: Segment, e_seg: Segment, r_cap: float) -> Optional[flo
     if t1 < t0:
         raise ValueError(f"segments do not overlap: [{p_seg.t_start}, {p_seg.t_end}] "
                          f"vs [{e_seg.t_start}, {e_seg.t_end}]")
-    s = _capture_root(
-        p_seg.position_at(t0), p_seg.velocity,
-        e_seg.position_at(t0), e_seg.velocity,
-        r_cap, t1 - t0,
-    )
+    p0, v_p = p_seg.position_at(t0), p_seg.velocity
+    e0, v_e = e_seg.position_at(t0), e_seg.velocity
+    s = _capture_root(p0.x, p0.y, v_p.x, v_p.y, e0.x, e0.y, v_e.x, v_e.y, r_cap, t1 - t0)
     return None if s is None else t0 + s
+
+
+_STILL = Vec2(0.0, 0.0)
 
 
 def _pursuer_velocity(action: PursuerAction) -> Vec2:
@@ -192,13 +194,13 @@ def _pursuer_velocity(action: PursuerAction) -> Vec2:
     if not (isinstance(gamma, (int, float)) and 0.0 <= gamma <= 1.0):
         raise ValueError(f"speed_fraction must lie in [0, 1], got {gamma!r}")
     if gamma == 0.0:
-        return Vec2(0.0, 0.0)
+        return _STILL
     heading = action.heading
     if not isinstance(heading, Vec2):
         raise ValueError(f"moving action needs a heading vector, got {heading!r}")
     if not abs(heading.norm() - 1.0) <= CHECK_TOL:  # NaN fails too
         raise ValueError(f"heading must be a unit vector, norm {heading.norm()}")
-    return heading * float(gamma)
+    return heading if gamma == 1.0 else heading * float(gamma)  # x * 1.0 == x, -0.0 too
 
 
 def _evader_velocity(action: EvaderAction, config: GameConfig) -> Vec2:
@@ -221,23 +223,29 @@ def _check_review(review_at):
 def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact):
     """The event loop that ``simulate`` and the dense oracle share.
 
-    ``first_contact(t, t_next, x_p, v_p, x_e, v_e)`` returns the absolute
-    time of the first capture on [t, t_next] under the given constant
-    velocities, or None; it is the only step in which the callers differ.
+    Positions advance as floats.  ``first_contact(t, t_next, px, py, vpx,
+    vpy, ex, ey, vex, vey)`` returns the absolute time of the first capture
+    on [t, t_next] under the given constant velocities, or None; it is the
+    only step in which the callers differ.  A ``review_dt`` whose t_f /
+    review_dt exceeds ``max_events`` is rejected before the first event.
     Returns the outcome, the sensing log and both players' segment lists.
     """
+    for review_dt in (getattr(pursuer, "review_dt", None), getattr(evader, "review_dt", None)):
+        if review_dt and config.t_f / review_dt > max_events:
+            raise RuntimeError(f"event budget {max_events} is below the estimated "
+                               f"{config.t_f / review_dt:.6g} events of review_dt={review_dt}")
+
     log = SensingLog.initial(config)
     t = 0.0
     x_p, x_e = config.x_p0, config.x_e0
+    px, py, ex, ey = x_p.x, x_p.y, x_e.x, x_e.y
     p_segments: list[Segment] = []
     e_segments: list[Segment] = []
     continuous = bool(getattr(pursuer, "continuous_observation", False))
 
     captured = False
     capture_time: Optional[float] = None
-
-    d0 = x_p.dist(x_e)
-    if d0 <= config.r_cap:
+    if math.hypot(px - ex, py - ey) <= config.r_cap:
         captured, capture_time = True, 0.0
 
     events = 0
@@ -270,18 +278,21 @@ def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact):
                 t_next = review
         t_next = min(t_next, config.t_f)
 
-        t_hit = first_contact(t, t_next, x_p, v_p, x_e, v_e)
+        vpx, vpy, vex, vey = v_p.x, v_p.y, v_e.x, v_e.y
+        t_hit = first_contact(t, t_next, px, py, vpx, vpy, ex, ey, vex, vey)
         if t_hit is not None:
             t_next = t_hit
             captured, capture_time = True, t_next
         if t_next > t:
             p_segments.append(Segment(t, t_next, x_p, v_p))
             e_segments.append(Segment(t, t_next, x_e, v_e))
-            x_p = x_p + v_p * (t_next - t)
-            x_e = x_e + v_e * (t_next - t)
+            dt = t_next - t
+            px, py = px + vpx * dt, py + vpy * dt
+            ex, ey = ex + vex * dt, ey + vey * dt
+            x_p, x_e = Vec2(px, py), Vec2(ex, ey)
         t = t_next
 
-    final_distance = x_p.dist(x_e)
+    final_distance = math.hypot(px - ex, py - ey)
     outcome = Outcome(
         captured=captured,
         capture_time=capture_time,
@@ -300,8 +311,8 @@ def simulate(config: GameConfig, pursuer, evader, max_events: int = 200_000) -> 
     ValueError on malformed actions (non-unit or non-finite headings,
     over-cap or non-finite evader velocities).
     """
-    def first_contact(t, t_next, x_p, v_p, x_e, v_e):
-        s = _capture_root(x_p, v_p, x_e, v_e, config.r_cap, t_next - t)
+    def first_contact(t, t_next, px, py, vpx, vpy, ex, ey, vex, vey):
+        s = _capture_root(px, py, vpx, vpy, ex, ey, vex, vey, config.r_cap, t_next - t)
         return None if s is None else t + s
 
     outcome, log, p_segments, e_segments = _play(config, pursuer, evader, max_events,
@@ -401,20 +412,17 @@ def sampled_expected_payoff(config: GameConfig, pursuer, n_draws: int, seed: int
 def write_trajectory_csv(path, result: SimulationResult) -> None:
     """Write both players' motion segments as CSV.
 
-    Columns: player, t_start, t_end, x0, y0, vx, vy.  One row per
-    constant-velocity segment, pursuer rows first.
+    Columns: player, t_start, t_end, x0, y0, vx, vy.  One CRLF-ended row per
+    segment, pursuer rows first; no ``fmt_g`` field ever needs CSV quoting.
     """
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["player", "t_start", "t_end", "x0", "y0", "vx", "vy"])
+        handle.write("player,t_start,t_end,x0,y0,vx,vy\r\n")
         for player, trajectory in (
             ("pursuer", result.pursuer_trajectory),
             ("evader", result.evader_trajectory),
         ):
-            for seg in trajectory.segments:
-                writer.writerow([
-                    player,
-                    fmt_g(seg.t_start), fmt_g(seg.t_end),
-                    fmt_g(seg.x0.x), fmt_g(seg.x0.y),
-                    fmt_g(seg.velocity.x), fmt_g(seg.velocity.y),
-                ])
+            handle.writelines(
+                f"{player},{fmt_g(t0)},{fmt_g(t1)},{fmt_g(x0.x)},{fmt_g(x0.y)},"
+                f"{fmt_g(v.x)},{fmt_g(v.y)}\r\n"
+                for t0, t1, x0, v in trajectory.segments
+            )

@@ -9,7 +9,7 @@ lengths) breaks.  Suites are deterministic given their seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -125,7 +125,7 @@ class EndpointDeviationPursuer:
             return PursuerAction(None, 0.0)
         if exceeds(length, cfg.t_f):
             raise ValueError(f"endpoint offset {length} is beyond reach {cfg.t_f}")
-        return PursuerAction(offset * (1.0 / length), length / cfg.t_f)
+        return PursuerAction(offset * (1.0 / length), min(length / cfg.t_f, 1.0))
 
 
 class EarlyWaitPursuer:
@@ -226,12 +226,7 @@ def default_pursuer_config() -> GameConfig:
 
 def default_evader_config() -> GameConfig:
     """Single-interval stop-case scenario used when the evader suite gets no config."""
-    return GameConfig(
-        nu=0.7, r_cap=0.1,
-        x_p0=Vec2(0.0, 0.0), x_e0=Vec2(1.0, 0.0),
-        t_f=2.0, n=0,
-        phi=PayoffSpec("hinge", 0.1),
-    )
+    return replace(default_pursuer_config(), t_f=2.0, n=0)
 
 
 def _with_scripted(config: GameConfig, entries: list, trials: int, seed: int) -> list:
@@ -576,7 +571,7 @@ def dense_oracle(config: GameConfig, pursuer, evader, dt: float = 1e-3,
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
 
-    def first_contact(t, t_next, x_p, v_p, x_e, v_e):
+    def first_contact(t, t_next, px, py, vpx, vpy, ex, ey, vex, vey):
         j_lo = math.floor(t / dt) + 1
         j_hi = math.floor(t_next / dt)
         sample_times = np.arange(j_lo, j_hi + 1, dtype=float) * dt
@@ -584,8 +579,8 @@ def dense_oracle(config: GameConfig, pursuer, evader, dt: float = 1e-3,
         sample_times = sample_times[sample_times > t + TIME_EPS]
 
         offsets = sample_times - t
-        dx = (x_e.x - x_p.x) + (v_e.x - v_p.x) * offsets
-        dy = (x_e.y - x_p.y) + (v_e.y - v_p.y) * offsets
+        dx = (ex - px) + (vex - vpx) * offsets
+        dy = (ey - py) + (vey - vpy) * offsets
         hit = np.nonzero(np.hypot(dx, dy) <= config.r_cap)[0]
         return float(sample_times[hit[0]]) if hit.size else None
 

@@ -5,6 +5,8 @@ import pickle
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from intermittent_pursuit import (
     DegenerateDirectionError,
@@ -190,6 +192,18 @@ class TestDirections:
         assert u.y == pytest.approx(0.8, abs=1e-15)
         with pytest.raises(DegenerateDirectionError):
             line_of_sight(Vec2(1.0, 1.0), Vec2(1.0, 1.0))
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4))
+    def test_line_of_sight_matches_longhand_property(self, coords):
+        x_p, x_e = Vec2(coords[0], coords[1]), Vec2(coords[2], coords[3])
+        d = x_e - x_p
+        if d.norm() == 0.0:
+            return
+        longhand = d * (1.0 / d.norm())
+        u = line_of_sight(x_p, x_e)
+        assert u.x == longhand.x and u.y == longhand.y
+        assert math.copysign(1.0, u.x) == math.copysign(1.0, longhand.x)
+        assert math.copysign(1.0, u.y) == math.copysign(1.0, longhand.y)
 
     def test_perpendicular(self):
         assert perpendicular(Vec2(1.0, 0.0), 1) == Vec2(0.0, 1.0)

@@ -1,7 +1,9 @@
 """Tests for the event-driven simulator and expectation helpers."""
 
+import csv
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -24,15 +26,19 @@ from intermittent_pursuit import (
     ScriptedEvader,
     Segment,
     SelfTriggeredPursuer,
+    SensingLog,
+    SimulationResult,
     Trajectory,
     Vec2,
     WaitingPursuer,
     build_evader,
     build_pursuer,
+    core,
     detect_capture,
     engine,
     enumerate_branch_payoffs,
     exact_expected_payoff,
+    fmt_g,
     mc_expected_payoff,
     payoff_of,
     random_piecewise_evader,
@@ -271,6 +277,46 @@ class TestSimulate:
         with pytest.raises(RuntimeError, match="event budget"):
             simulate(cfg, ContinuousPursuer(review_dt=1e-4), RadialEvader(), max_events=100)
 
+    @pytest.mark.parametrize("side", ["pursuer", "evader"])
+    def test_event_budget_fails_before_the_first_event(self, side, monkeypatch):
+        cfg = make_config(t_f=10.0, n=0)
+        if side == "pursuer":
+            pursuer, evader = ContinuousPursuer(review_dt=1e-9), RadialEvader()
+        else:
+            pursuer, evader = ArrivalSensingPursuer(), RadialEvader(review_dt=1e-9)
+        queries = []
+        for strategy in (pursuer, evader):
+            monkeypatch.setattr(strategy, "act", queries.append)
+        with pytest.raises(RuntimeError, match="event budget 200000 is below the estimated 1e"):
+            simulate(cfg, pursuer, evader)
+        assert queries == []
+
+    def test_engine_builds_two_vec2_per_event(self, monkeypatch):
+        """Positions advance in floats: Vec2 arithmetic back in the loop fails this.
+
+        Each construction is charged to the first caller outside ``core``, so
+        ``x_p + v_p * dt`` written in the engine counts as the engine's.
+        """
+        built = {"engine": 0, "other": 0}
+        init = Vec2.__init__
+
+        def counting_init(self, x, y):
+            frame = sys._getframe(1)
+            while frame.f_code.co_filename == core.__file__:
+                frame = frame.f_back
+            built["engine" if frame.f_code.co_filename == engine.__file__ else "other"] += 1
+            init(self, x, y)
+
+        cfg = make_config(rho0=2.0, t_f=10.0, n=3)
+        pursuer, evader = WaitingPursuer(), RadialEvader(review_dt=0.01)
+        monkeypatch.setattr(Vec2, "__init__", counting_init)
+        result = simulate(cfg, pursuer, evader)
+        monkeypatch.undo()
+        events = len(result.pursuer_trajectory.segments)
+        assert events > 500
+        assert built["other"] > 0  # the count sees strategy-side constructions too
+        assert built["engine"] <= 2 * events
+
     def test_outcome_json_layout(self):
         cfg = make_config(rho0=0.13, t_f=5.0, n=0)
         out = simulate(cfg, ArrivalSensingPursuer(), RadialEvader()).outcome
@@ -480,3 +526,33 @@ class TestTrajectoryCsv:
         for row in rows:
             for cell in row[1:]:
                 float(cell)
+
+    @settings(max_examples=150)
+    @given(st.lists(st.tuples(*[st.one_of(
+        st.floats(allow_subnormal=True),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1.7976931348623157e308, -1.7976931348623157e308, 1e308,
+                         math.inf, -math.inf]),
+    )] * 6), max_size=6), st.integers(0, 6))
+    def test_rows_match_the_csv_module_property(self, tmp_path_factory, rows, split):
+        """Byte for byte what ``csv.writer`` writes from the same ``fmt_g`` fields."""
+        segments = [Segment(t0, t1, Vec2(x, y), Vec2(vx, vy)) for t0, t1, x, y, vx, vy in rows]
+        split = min(split, len(segments))
+        result = SimulationResult(
+            Outcome(False, None, 1.0, 0.9, ()),
+            Trajectory(0.0, Vec2(0.0, 0.0), tuple(segments[:split])),
+            Trajectory(0.0, Vec2(1.0, 0.0), tuple(segments[split:])),
+            SensingLog.initial(make_config()),
+        )
+        path = tmp_path_factory.mktemp("csv") / "run.csv"
+        write_trajectory_csv(path, result)
+        with open(path.with_suffix(".longhand"), "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["player", "t_start", "t_end", "x0", "y0", "vx", "vy"])
+            for player, trajectory in (("pursuer", result.pursuer_trajectory),
+                                       ("evader", result.evader_trajectory)):
+                for seg in trajectory.segments:
+                    writer.writerow([player, fmt_g(seg.t_start), fmt_g(seg.t_end),
+                                     fmt_g(seg.x0.x), fmt_g(seg.x0.y),
+                                     fmt_g(seg.velocity.x), fmt_g(seg.velocity.y)])
+        assert path.read_bytes() == path.with_suffix(".longhand").read_bytes()

@@ -150,6 +150,14 @@ class TestGuaranteeChecks:
         assert report.trials == 0
         assert any("not tight" in note for note in report.notes)
 
+    def test_evader_suite_endpoint_a_rounding_step_beyond_reach(self):
+        # rho0 = t_f (1 + 2.5e-13): the reach check admits the optimal endpoint,
+        # which must then run at full speed, not at a fraction just above 1
+        cfg = make_config(rho0=2.0000000000005, t_f=2.0, n=0)
+        report = evader_guarantee_check(cfg)
+        assert report.passed, report.failures
+        assert report.trials > 0
+
     def test_evader_suite_with_budget_and_early_senses(self):
         cfg = make_config(t_f=4.0, n=1)
         grid = DeviationGrid.regular((0.0, 4.0), (-1.0, 1.0), 5, 5)
