@@ -18,16 +18,11 @@ from .core import (
     GameConfig,
     PAYOFF_KINDS,
     PayoffSpec,
-    RawSpeeds,
     RegionNotCoveredError,
-    SlowPursuerError,
     Vec2,
     fmt_g,
     line_of_sight,
-    normalize_speeds,
     perpendicular,
-    physical_time,
-    physical_velocity,
 )
 from .engine import (
     Outcome,
@@ -91,7 +86,6 @@ from .value import (
     value_bound,
 )
 from .verify import (
-    DeviationGrid,
     EarlyWaitPursuer,
     EndpointDeviationPursuer,
     FirstLegDeviationPursuer,

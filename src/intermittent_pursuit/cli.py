@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .core import GameConfig, PayoffSpec, RegionNotCoveredError, fmt_g
+from .core import PAYOFF_KINDS, GameConfig, PayoffSpec, RegionNotCoveredError, fmt_g
 from .engine import simulate, write_trajectory_csv
 from .strategies import build_evader, build_pursuer
 from .value import (
@@ -38,11 +38,7 @@ __all__ = ["main"]
 
 
 class CliError(Exception):
-    """User-facing error with an exit code."""
-
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """User-facing error; ``main`` prints it and exits 2."""
 
 
 def _write_manifest(base_path: str, command: str, argv, config: dict,
@@ -321,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid = sub.add_parser("value-grid", help="emit the closed-form value bound on a grid")
     p_grid.add_argument("--nu", type=float, required=True)
     p_grid.add_argument("--r-cap", type=float, required=True, dest="r_cap")
-    p_grid.add_argument("--phi", choices=["hinge", "quadratic-above-capture"],
-                        default="hinge")
+    p_grid.add_argument("--phi", choices=PAYOFF_KINDS, default="hinge")
     p_grid.add_argument("--rho-min", type=float, default=0.0)
     p_grid.add_argument("--rho-max", type=float, required=True)
     p_grid.add_argument("--rho-steps", type=int, default=300)
@@ -351,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="horizon as a fraction of the capture-time bound")
     p_deg.add_argument("--nu", required=True,
                        help="comma-separated evader speeds, e.g. 0.5,0.6,0.7,0.8")
-    p_deg.add_argument("--phi", choices=["hinge", "quadratic-above-capture"],
-                       default="hinge")
+    p_deg.add_argument("--phi", choices=PAYOFF_KINDS, default="hinge")
     p_deg.add_argument("--out", required=True, help="CSV output path")
     p_deg.set_defaults(func=cmd_degradation)
 
@@ -377,10 +371,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
+    except (CliError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,8 @@
 """Geometric primitives, configuration, and payoff functions for the pursuit game.
 
-Everything downstream works in the nondimensional frame: the pursuer's top
-speed is 1, the evader's is ``nu`` with 0 < nu < 1, and capture occurs as soon
-as the players come within ``r_cap`` of each other.  ``normalize_speeds`` maps
-a game stated in physical units into this frame by dilating time with the
-pursuer's top speed; lengths are unchanged.
+The game is stated, as in the paper, in the unit-speed frame: the pursuer's
+top speed is 1, the evader's is ``nu`` with 0 < nu < 1, and capture occurs as
+soon as the players come within ``r_cap`` of each other.
 
 All types here are immutable values.  Validity is checked where a value
 enters the game (``GameConfig`` here, each strategy action in the engine),
@@ -28,12 +26,10 @@ arithmetic*, 1991).  Every tolerance in the package is one of three constants:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass
 
 __all__ = [
     "DegenerateDirectionError",
-    "SlowPursuerError",
     "BudgetViolationError",
     "EnumerationCapError",
     "RegionNotCoveredError",
@@ -41,10 +37,6 @@ __all__ = [
     "PAYOFF_KINDS",
     "PayoffSpec",
     "GameConfig",
-    "RawSpeeds",
-    "normalize_speeds",
-    "physical_time",
-    "physical_velocity",
     "line_of_sight",
     "perpendicular",
     "fmt_g",
@@ -75,10 +67,6 @@ def fmt_g(value: float) -> str:
 
 class DegenerateDirectionError(ValueError):
     """A direction was requested between coincident points."""
-
-
-class SlowPursuerError(ValueError):
-    """The evader is at least as fast as the pursuer; the game is degenerate."""
 
 
 class BudgetViolationError(RuntimeError):
@@ -194,9 +182,9 @@ class GameConfig:
             raise ValueError(f"x_p0 and x_e0 must be finite, got {self.x_p0} and {self.x_e0}")
         if not (math.isfinite(self.t_f) and self.t_f >= 0):
             raise ValueError(f"t_f must be nonnegative and finite, got {self.t_f}")
-        if not isinstance(self.n, int) or self.n < 0:
+        if type(self.n) is not int or self.n < 0:
             raise ValueError(f"n must be a nonnegative integer, got {self.n!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.phi.r_cap != self.r_cap:
             raise ValueError(
@@ -231,9 +219,9 @@ class GameConfig:
             x_p0=_vec_from(data["x_p0"], "x_p0"),
             x_e0=_vec_from(data["x_e0"], "x_e0"),
             t_f=float(data["t_f"]),
-            n=int(data["n"]),
+            n=data["n"],
             phi=PayoffSpec(kind=phi_obj["kind"], r_cap=r_cap),
-            seed=int(data.get("seed", 0)),
+            seed=data.get("seed", 0),
         )
 
     def to_dict(self) -> dict:
@@ -247,41 +235,6 @@ class GameConfig:
             "phi": {"kind": self.phi.kind},
             "seed": self.seed,
         }
-
-
-class RawSpeeds(NamedTuple):
-    """Physical top speeds of the two players before nondimensionalization."""
-
-    v_p_max: float
-    v_e_max: float
-
-
-def normalize_speeds(raw: RawSpeeds, config: GameConfig) -> GameConfig:
-    """Rescale a physically-parameterized game into the unit-speed frame.
-
-    ``config.t_f`` is interpreted as a physical duration; the returned config
-    has the time axis dilated by c = v_p_max (t_bar = c * t) so the pursuer's
-    top speed becomes 1 and the evader's becomes v_e_max / v_p_max.  Lengths
-    are untouched, so positions carry over as-is.
-    """
-    if not (raw.v_p_max > 0 and raw.v_e_max > 0):
-        raise ValueError(f"speeds must be positive, got {raw}")
-    if raw.v_e_max >= raw.v_p_max:
-        raise SlowPursuerError(
-            f"evader top speed {raw.v_e_max} must be strictly below "
-            f"pursuer top speed {raw.v_p_max}"
-        )
-    return replace(config, nu=raw.v_e_max / raw.v_p_max, t_f=raw.v_p_max * config.t_f)
-
-
-def physical_time(t_bar: float, raw: RawSpeeds) -> float:
-    """Map a nondimensional time back to physical units."""
-    return t_bar / raw.v_p_max
-
-
-def physical_velocity(v_bar: Vec2, raw: RawSpeeds) -> Vec2:
-    """Map a nondimensional velocity back to physical units."""
-    return v_bar * raw.v_p_max
 
 
 def line_of_sight(x_p: Vec2, x_e: Vec2) -> Vec2:

@@ -72,7 +72,7 @@ class Segment(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class Trajectory:
-    """Contiguous chain of segments for one player.
+    """Contiguous chain of segments for one player, starting at time 0.
 
     ``simulate`` chains the segments exactly (each starts at the previous
     one's end time and position) and gives each a positive duration; the
@@ -80,26 +80,12 @@ class Trajectory:
     ends at t = 0); ``start_pos`` then carries the only known position.
     """
 
-    start_time: float
     start_pos: Vec2
     segments: tuple[Segment, ...]
 
     @property
-    def end_time(self) -> float:
-        return self.segments[-1].t_end if self.segments else self.start_time
-
-    @property
     def end_position(self) -> Vec2:
         return self.segments[-1].end_position if self.segments else self.start_pos
-
-    def position_at(self, t: float) -> Vec2:
-        """Position at time t, clamped to the covered interval."""
-        if t <= self.start_time or not self.segments:
-            return self.start_pos
-        for seg in self.segments:
-            if t <= seg.t_end:
-                return seg.position_at(t)
-        return self.end_position
 
     def path_length(self) -> float:
         return sum(s.velocity.norm() * (s.t_end - s.t_start) for s in self.segments)
@@ -319,8 +305,8 @@ def simulate(config: GameConfig, pursuer, evader, max_events: int = 200_000) -> 
                                                  first_contact)
     return SimulationResult(
         outcome=outcome,
-        pursuer_trajectory=Trajectory(0.0, config.x_p0, tuple(p_segments)),
-        evader_trajectory=Trajectory(0.0, config.x_e0, tuple(e_segments)),
+        pursuer_trajectory=Trajectory(config.x_p0, tuple(p_segments)),
+        evader_trajectory=Trajectory(config.x_e0, tuple(e_segments)),
         log=log,
     )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "FirstLegDeviationPursuer",
     "random_piecewise_evader",
     "pursuer_guarantee_check",
-    "DeviationGrid",
     "evader_guarantee_check",
     "jensen_claimed_floor",
     "jensen_expected_distance",
@@ -275,62 +274,22 @@ def pursuer_guarantee_check(
     return _finish_report("pursuer", len(entries), worst, failures, notes)
 
 
-@dataclass(frozen=True, slots=True)
-class DeviationGrid:
-    """Pursuer deviation family for the evader-guarantee check.
-
-    ``alpha1_values`` x ``alpha2_values`` are straight-run endpoint offsets
-    (along and across the initial bearing); endpoints farther than the
-    horizon allows are skipped at use.  ``heading_angles`` x
-    ``speed_fractions`` additionally perturb the first walk leg of the
-    waiting policy.
-    """
-
-    alpha1_values: tuple[float, ...]
-    alpha2_values: tuple[float, ...]
-    heading_angles: tuple[float, ...] = ()
-    speed_fractions: tuple[float, ...] = ()
-
-    @classmethod
-    def regular(cls, alpha1_range: tuple[float, float], alpha2_range: tuple[float, float],
-                steps1: int, steps2: int,
-                heading_angles: Sequence[float] = (),
-                speed_fractions: Sequence[float] = ()) -> "DeviationGrid":
-        if steps1 < 1 or steps2 < 1:
-            raise ValueError("grid needs at least one step per axis")
-        a1 = np.linspace(alpha1_range[0], alpha1_range[1], steps1)
-        a2 = np.linspace(alpha2_range[0], alpha2_range[1], steps2)
-        return cls(
-            tuple(float(v) for v in a1),
-            tuple(float(v) for v in a2),
-            tuple(float(v) for v in heading_angles),
-            tuple(float(v) for v in speed_fractions),
-        )
-
-
-def evader_guarantee_check(
-    config: Optional[GameConfig] = None,
-    grid: Optional[DeviationGrid] = None,
-    early_wait_count: int = 0,
-) -> VerificationReport:
+def evader_guarantee_check(config: Optional[GameConfig] = None) -> VerificationReport:
     """Check the randomizing evader's expected payoff against pursuer deviations.
 
     Where the closed-form bound is tight, the evader's coin-flip strategy
     must earn at least the bound in expectation against every pursuer.
-    Deviations tried: straight endpoint runs over the grid, perturbed first
-    legs of the waiting policy, ``early_wait_count`` mistimed first
-    sensings (budget permitting), and the prescribed waiting pursuer
-    itself.  In the no-budget stop case the endpoint equal to the initial
-    separation along the bearing must achieve the bound exactly.
-    Expectations are exact sums over the orientation branches.
+    Deviations tried: straight runs to a 50 x 50 grid of endpoints offset
+    [0, t_f] along and [-t_f/2, t_f/2] across the initial bearing (those
+    beyond the pursuer's reach are skipped), the waiting policy with its
+    first walk leg turned by 4 angles at 3 speed fractions, 8 mistimed
+    first sensings when n >= 1, and the prescribed waiting pursuer itself.
+    In the no-budget stop case the endpoint equal to the initial separation
+    along the bearing must achieve the bound exactly.  Expectations are
+    exact sums over the orientation branches.
     """
     config = config or default_evader_config()
     rho0 = config.initial_distance
-    grid = grid or DeviationGrid.regular(
-        (0.0, config.t_f), (-config.t_f / 2.0, config.t_f / 2.0), 50, 50,
-        heading_angles=(-0.5, -0.2, 0.2, 0.5),
-        speed_fractions=(0.6, 0.8, 1.0),
-    )
     bound = value_bound(rho0, config.t_f, config.n, config.phi, config.nu)
     notes = [f"bound {bound.value:.12g} ({bound.case_tag}, tight={bound.is_tight})"]
     if not bound.is_tight:
@@ -339,21 +298,22 @@ def evader_guarantee_check(
 
     deviations: list[tuple[str, object]] = []
     skipped = 0
-    for a1 in grid.alpha1_values:
-        for a2 in grid.alpha2_values:
+    alpha2_values = np.linspace(-config.t_f / 2.0, config.t_f / 2.0, 50).tolist()
+    for a1 in np.linspace(0.0, config.t_f, 50).tolist():
+        for a2 in alpha2_values:
             if exceeds(math.hypot(a1, a2), config.t_f):
                 skipped += 1
                 continue
             deviations.append((f"endpoint({a1:.6g},{a2:.6g})",
                                EndpointDeviationPursuer(a1, a2)))
-    for angle in grid.heading_angles:
-        for gamma in grid.speed_fractions:
+    for angle in (-0.5, -0.2, 0.2, 0.5):
+        for gamma in (0.6, 0.8, 1.0):
             deviations.append((f"first_leg(angle={angle:.3g},gamma={gamma:.3g})",
                                FirstLegDeviationPursuer(angle, gamma)))
-    if early_wait_count > 0 and config.n >= 1:
+    if config.n >= 1:
         # Try sensing at fractions of the prescribed first hold.
         hold = sensing_delay(config.nu, config.n, config.t_f)
-        for frac in np.linspace(0.15, 0.9, early_wait_count):
+        for frac in np.linspace(0.15, 0.9, 8):
             t_s = float(frac) * hold
             deviations.append((f"early_sense({t_s:.6g})", EarlyWaitPursuer(t_s)))
     deviations.append(("prescribed", WaitingPursuer()))
@@ -436,30 +396,22 @@ def _jensen_scan(points):
     return worst, worst_point, corrected_ok, equality_ok, failures
 
 
-def jensen_bound_check(
-    rho: float = 1.0,
-    tau: float = 2.0,
-    nu: float = 0.7,
-    alphas: Optional[Sequence[tuple[float, float]]] = None,
-) -> VerificationReport:
+def jensen_bound_check() -> VerificationReport:
     """Test the claimed expected-distance floor pointwise on a deviation grid.
 
-    The claim compares a two-point mean against the root-mean-square of the
-    same two distances; a mean is never above its RMS and is strictly below
-    whenever the branches differ, so every alpha2 != 0 point violates the
-    claim.  This suite is therefore expected to fail; it exists to document
-    the defect and to confirm the alpha2-free floor that replaces it.
+    The state is rho = 1, tau = 2, nu = 0.7, and the grid is 21 x 21
+    pursuer displacements, alpha1 in [0, rho] by alpha2 in [-0.5, 0.5], all
+    within the pursuer's reach tau.  The claim compares a two-point mean
+    against the root-mean-square of the same two distances; a mean is never
+    above its RMS and is strictly below whenever the branches differ, so
+    every alpha2 != 0 point violates the claim.  This suite is therefore
+    expected to fail; it exists to document the defect and to confirm the
+    alpha2-free floor that replaces it.
     """
-    if not 0.0 < nu < 1.0:
-        raise ValueError(f"nu must lie in (0, 1), got {nu}")
-    if alphas is None:
-        a1_grid = np.linspace(0.0, rho, 21)
-        a2_grid = np.linspace(-0.5, 0.5, 21)
-        alphas = [(float(a1), float(a2)) for a1 in a1_grid for a2 in a2_grid]
-    for a1, a2 in alphas:
-        if exceeds(math.hypot(a1, a2), tau):
-            raise ValueError(f"deviation ({a1}, {a2}) is beyond the pursuer's reach {tau}")
-    points = [(rho, tau, nu, a1, a2) for a1, a2 in alphas]
+    rho, tau, nu = 1.0, 2.0, 0.7
+    alpha2_values = np.linspace(-0.5, 0.5, 21).tolist()
+    points = [(rho, tau, nu, a1, a2)
+              for a1 in np.linspace(0.0, rho, 21).tolist() for a2 in alpha2_values]
     worst, worst_point, corrected_ok, equality_ok, failures = _jensen_scan(points)
     notes = [
         "claimed floor equals the RMS of the two branch distances; the mean of",
@@ -704,7 +656,7 @@ def run_suite(
     if name == "pursuer":
         return [pursuer_guarantee_check(config, trials=trials, seed=seed)]
     if name == "evader":
-        return [evader_guarantee_check(config, early_wait_count=8)]
+        return [evader_guarantee_check(config)]
     if name == "jensen":
         return [jensen_bound_check(), jensen_random_sweep(trials, seed)]
     if name == "capture_time":

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from intermittent_pursuit import DegradationReport, cli
+from intermittent_pursuit import DegradationReport, GameConfig, cli
 from intermittent_pursuit.cli import main
 from conftest import default_config_payload
 
@@ -125,6 +125,26 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert "must be finite" in err
+
+    @pytest.mark.parametrize("key, bad", [("n", 2.5), ("n", True), ("seed", 1.9), ("seed", -0.5)])
+    def test_non_integer_budget_or_seed_is_config_error(self, key, bad, config_json, capsys):
+        # int() used to truncate these to 2, 1, 1 and 0
+        payload = default_config_payload(**{key: bad})
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            GameConfig.from_dict(payload)
+        code, out, err = run_cli("simulate", "--config", config_json(payload), capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{key} must be" in err
+
+    def test_event_budget_is_config_error(self, config_json, capsys):
+        payload = default_config_payload(
+            t_f=10.0, pursuer={"name": "continuous", "review_dt": 1e-9})
+        code, out, err = run_cli("simulate", "--config", config_json(payload), capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: event budget 200000 is below")
+        assert "Traceback" not in err
 
 
 class TestValueGrid:

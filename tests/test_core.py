@@ -13,16 +13,11 @@ from intermittent_pursuit import (
     GameConfig,
     PayoffSpec,
     PAYOFF_KINDS,
-    RawSpeeds,
-    SlowPursuerError,
     Vec2,
     build_evader,
     fmt_g,
     line_of_sight,
-    normalize_speeds,
     perpendicular,
-    physical_time,
-    physical_velocity,
 )
 from conftest import default_config_payload, make_config
 
@@ -159,30 +154,6 @@ class TestGameConfig:
     def test_picklable(self):
         cfg = make_config()
         assert pickle.loads(pickle.dumps(cfg)) == cfg
-
-
-class TestSpeedNormalization:
-    def test_time_dilation(self):
-        # 10 m/s pursuer, 7 m/s evader, 3 s physical horizon
-        cfg = make_config(t_f=3.0)
-        raw = RawSpeeds(v_p_max=10.0, v_e_max=7.0)
-        scaled = normalize_speeds(raw, cfg)
-        assert scaled.nu == pytest.approx(0.7, abs=1e-15)
-        assert scaled.t_f == pytest.approx(30.0, abs=1e-12)
-        assert scaled.x_e0 == cfg.x_e0
-
-    def test_round_trip_maps(self):
-        raw = RawSpeeds(v_p_max=4.0, v_e_max=1.0)
-        assert physical_time(8.0, raw) == pytest.approx(2.0)
-        v = physical_velocity(Vec2(0.25, 0.0), raw)
-        assert v == Vec2(1.0, 0.0)
-
-    def test_rejects_fast_evader(self):
-        cfg = make_config()
-        with pytest.raises(SlowPursuerError):
-            normalize_speeds(RawSpeeds(v_p_max=1.0, v_e_max=1.0), cfg)
-        with pytest.raises(ValueError):
-            normalize_speeds(RawSpeeds(v_p_max=0.0, v_e_max=-1.0), cfg)
 
 
 class TestDirections:

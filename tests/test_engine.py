@@ -62,18 +62,12 @@ class TestSegmentsAndTrajectories:
             Segment(0.0, 1.0, Vec2(0.0, 0.0), Vec2(1.0, 0.0)),
             Segment(1.0, 3.0, Vec2(1.0, 0.0), Vec2(0.0, 1.0)),
         )
-        traj = Trajectory(0.0, Vec2(0.0, 0.0), segs)
-        assert traj.end_time == 3.0
+        traj = Trajectory(Vec2(0.0, 0.0), segs)
         assert traj.end_position == Vec2(1.0, 2.0)
-        assert traj.position_at(-1.0) == Vec2(0.0, 0.0)  # clamped
-        assert traj.position_at(0.5) == Vec2(0.5, 0.0)
-        assert traj.position_at(2.0) == Vec2(1.0, 1.0)
-        assert traj.position_at(99.0) == Vec2(1.0, 2.0)
         assert traj.path_length() == pytest.approx(3.0, abs=1e-15)
 
     def test_empty_trajectory(self):
-        traj = Trajectory(0.0, Vec2(2.0, 2.0), ())
-        assert traj.end_time == 0.0
+        traj = Trajectory(Vec2(2.0, 2.0), ())
         assert traj.end_position == Vec2(2.0, 2.0)
         assert traj.path_length() == 0.0
 
@@ -100,7 +94,7 @@ class TestSegmentsAndTrajectories:
             strategy = build_evader(evader, cfg)
         result = simulate(cfg, build_pursuer(pursuer, cfg), strategy)
         for traj in (result.pursuer_trajectory, result.evader_trajectory):
-            t, x = traj.start_time, traj.start_pos
+            t, x = 0.0, traj.start_pos
             for seg in traj.segments:
                 assert seg.t_start == t and seg.x0 == x
                 assert seg.t_end > seg.t_start
@@ -201,7 +195,7 @@ class TestSimulate:
         cfg = make_config(rho0=2.0, t_f=1.5, n=1)
         result = simulate(cfg, ArrivalSensingPursuer(), RadialEvader(review_dt=0.2))
         p, e = result.pursuer_trajectory, result.evader_trajectory
-        assert p.end_time == pytest.approx(e.end_time)
+        assert p.segments[-1].t_end == pytest.approx(e.segments[-1].t_end)
         # final outcome distance equals the trajectory-end distance
         assert result.outcome.final_distance == pytest.approx(
             p.end_position.dist(e.end_position), abs=1e-12
@@ -540,8 +534,8 @@ class TestTrajectoryCsv:
         split = min(split, len(segments))
         result = SimulationResult(
             Outcome(False, None, 1.0, 0.9, ()),
-            Trajectory(0.0, Vec2(0.0, 0.0), tuple(segments[:split])),
-            Trajectory(0.0, Vec2(1.0, 0.0), tuple(segments[split:])),
+            Trajectory(Vec2(0.0, 0.0), tuple(segments[:split])),
+            Trajectory(Vec2(1.0, 0.0), tuple(segments[split:])),
             SensingLog.initial(make_config()),
         )
         path = tmp_path_factory.mktemp("csv") / "run.csv"

@@ -3,7 +3,7 @@
 A refactor that claims to keep behaviour must leave every digest here
 unchanged: the ``simulate --out`` outcome JSON and trajectory CSV of each
 pursuer against three evaders, three ``value-grid`` CSVs, and the report JSON
-of three ``verify`` suites.  Manifests are not hashed (they carry a wall
+of four ``verify`` suites.  Manifests are not hashed (they carry a wall
 time).  Regenerate a digest only for an intended change of output.
 """
 
@@ -81,6 +81,7 @@ OTHER_DIGESTS = {
     "value-grid-slack": "b68d775c55a64d9de9f73664c83d4238465e5d5c5cec9ae3182568ba83623b23",
     "verify-capture_time": "bab5fbbb5b3e9cdcb1ea070e78ee86b76fc61711cf8d325c935b304551ac3dc8",
     "verify-evader": "17c3cd7b3cbfabcb7c37ff0baf2284f7bd63abe08b24558872a05547a1493a0d",
+    "verify-jensen": "e00932ab06eb480e2d925c8dac87a8281a992d23e2a6bdbd2d3a953153de3898",
     "verify-pursuer": "538838272ebce499f990eec3e3957face518ecae585e6548c59216002013c2f9",
 }
 
@@ -121,6 +122,7 @@ OTHER_RUNS = {
     "verify-pursuer": ["verify", "pursuer", "--trials", "50"],
     "verify-evader": ["verify", "evader"],
     "verify-capture_time": ["verify", "capture_time", "--trials", "20"],
+    "verify-jensen": ["verify", "jensen", "--trials", "200"],
 }
 
 
