@@ -12,18 +12,17 @@ outputs byte for byte.  All numbers are printed with 9 significant digits.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .core import PAYOFF_KINDS, GameConfig, PayoffSpec, RegionNotCoveredError, fmt_g
+from .core import PAYOFF_KINDS, GameConfig, PayoffSpec, RegionNotCoveredError, fmt_g, write_csv
 from .engine import simulate, write_trajectory_csv
 from .strategies import build_evader, build_pursuer
 from .value import (
@@ -41,19 +40,18 @@ class CliError(Exception):
     """User-facing error; ``main`` prints it and exits 2."""
 
 
-def _write_manifest(base_path: str, command: str, argv, config: dict,
-                    seed: Optional[int], outputs: list[str], started: float) -> None:
-    """Write the reproducibility record ``<base_path>.manifest.json``."""
+def _write_manifest(args, argv, config: dict, seed: Optional[int], outputs: list[str]) -> None:
+    """Write the reproducibility record ``<args.out>.manifest.json``."""
     manifest = {
-        "command": command,
+        "command": args.command,
         "argv": list(argv),
         "config": config,
         "seed": seed,
         "version": __version__,
         "outputs": list(outputs),
-        "duration_s": time.monotonic() - started,
+        "duration_s": time.monotonic() - args.started,
     }
-    Path(f"{base_path}.manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    Path(f"{args.out}.manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _load_json_object(path: str) -> dict:
@@ -92,11 +90,12 @@ def _config_from_file(path: str, seed_override: Optional[int]):
     return config, pursuer_choice, evader_choice, resolved
 
 
-def _write_csv_rows(path: str, header: list[str], rows: Iterable[Sequence[str]]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_table(args, argv, config: dict, header: tuple[str, ...], rows) -> int:
+    """The table commands' exit: the CSV, its manifest and the ``N rows -> out`` line."""
+    count = write_csv(args.out, header, rows)
+    _write_manifest(args, argv, config, None, [args.out])
+    print(f"{count} rows -> {args.out}")
+    return 0
 
 
 def _bool_str(flag: bool) -> str:
@@ -104,7 +103,6 @@ def _bool_str(flag: bool) -> str:
 
 
 def cmd_simulate(args, argv) -> int:
-    started = time.monotonic()
     config, pursuer_choice, evader_choice, resolved = _config_from_file(args.config, args.seed)
     try:
         pursuer = build_pursuer(pursuer_choice, config)
@@ -125,8 +123,7 @@ def cmd_simulate(args, argv) -> int:
             json.dumps(outcome.to_json_dict(), indent=2) + "\n"
         )
         write_trajectory_csv(traj_path, result)
-        _write_manifest(args.out, "simulate", argv, resolved, config.seed,
-                        [outcome_path, traj_path], started)
+        _write_manifest(args, argv, resolved, config.seed, [outcome_path, traj_path])
     return 0
 
 
@@ -157,7 +154,6 @@ def _linspace(lo: float, hi: float, steps: int, what: str) -> list[float]:
 
 
 def cmd_value_grid(args, argv) -> int:
-    started = time.monotonic()
     if not 0.0 < args.nu < 1.0:
         raise CliError(f"--nu must lie in (0, 1), got {args.nu}")
     if args.r_cap <= 0.0:
@@ -180,20 +176,17 @@ def cmd_value_grid(args, argv) -> int:
             map(_bool_str, bound.is_tight.ravel().tolist()))
         for ell, bound in zip(ells, bounds)
     )
-    _write_csv_rows(args.out, ["rho", "tau", "ell", "value", "case_tag", "is_tight"], rows)
     config = {
         "nu": args.nu, "r_cap": args.r_cap, "phi": {"kind": args.phi},
         "rho": [args.rho_min, args.rho_max, args.rho_steps],
         "tau": [args.tau_min, args.tau_max, args.tau_steps],
         "ell": args.ell,
     }
-    _write_manifest(args.out, "value-grid", argv, config, None, [args.out], started)
-    print(f"{len(ells) * len(rhos) * len(taus)} rows -> {args.out}")
-    return 0
+    return _write_table(args, argv, config,
+                        ("rho", "tau", "ell", "value", "case_tag", "is_tight"), rows)
 
 
 def cmd_compare_nmax(args, argv) -> int:
-    started = time.monotonic()
     if not 0.0 < args.nu_min <= args.nu_max < 1.0:
         raise CliError(
             f"--nu range must satisfy 0 < min <= max < 1, got [{args.nu_min}, {args.nu_max}]"
@@ -201,21 +194,16 @@ def cmd_compare_nmax(args, argv) -> int:
     if not 0.0 < args.r_cap < args.rho0:
         raise CliError(f"need 0 < r_cap < rho0, got r_cap={args.r_cap}, rho0={args.rho0}")
     nus = _linspace(args.nu_min, args.nu_max, args.nu_steps, "nu range")
-    rows = []
-    for nu in nus:
-        rows.append([
-            fmt_g(nu),
-            str(sense_count_self_triggered(args.rho0, args.r_cap, nu)),
-            str(sense_count_arrival(args.rho0, args.r_cap, nu)),
-        ])
-    _write_csv_rows(args.out, ["nu", "aleem_n_max", "prop1_n_max"], rows)
+    rows = [
+        (fmt_g(nu), str(sense_count_self_triggered(args.rho0, args.r_cap, nu)),
+         str(sense_count_arrival(args.rho0, args.r_cap, nu)))
+        for nu in nus
+    ]
     config = {
         "rho0": args.rho0, "r_cap": args.r_cap,
         "nu": [args.nu_min, args.nu_max, args.nu_steps],
     }
-    _write_manifest(args.out, "compare-nmax", argv, config, None, [args.out], started)
-    print(f"{len(rows)} rows -> {args.out}")
-    return 0
+    return _write_table(args, argv, config, ("nu", "aleem_n_max", "prop1_n_max"), rows)
 
 
 def _parse_nu_list(raw: str) -> list[float]:
@@ -232,47 +220,34 @@ def _parse_nu_list(raw: str) -> list[float]:
 
 
 def cmd_degradation(args, argv) -> int:
-    started = time.monotonic()
     if not 0.0 < args.r_cap < args.rho0:
         raise CliError(f"need 0 < r_cap < rho0, got r_cap={args.r_cap}, rho0={args.rho0}")
     if args.tf_frac <= 0.0:
         raise CliError(f"--tf-frac must be positive, got {args.tf_frac}")
     nus = _parse_nu_list(args.nu)
-    phi_kind = args.phi
+    phi = PayoffSpec(args.phi, args.r_cap)
     rows = []
     for nu in nus:
         t_f = args.tf_frac * (args.rho0 - args.r_cap) / (1.0 - nu)
-        phi = PayoffSpec(phi_kind, args.r_cap)
         try:
             report = degradation_report(args.rho0, t_f, nu, phi)
         except RegionNotCoveredError as exc:
             print(f"warning: nu={fmt_g(nu)} skipped: {exc}", file=sys.stderr)
             continue
-        for n, delta in enumerate(report.deltas):
-            beta = report.betas[n] if n < len(report.betas) else None
-            rows.append([
-                fmt_g(nu), str(n),
-                fmt_g(beta) if beta is not None else "",
-                fmt_g(delta),
-                fmt_g(report.continuous_payoff),
-                str(report.n_star),
-            ])
-    _write_csv_rows(
-        args.out,
-        ["nu", "n", "beta", "delta", "continuous_payoff", "n_star"],
-        rows,
-    )
+        rows += [
+            (fmt_g(nu), str(n), fmt_g(report.betas[n]) if n < len(report.betas) else "",
+             fmt_g(delta), fmt_g(report.continuous_payoff), str(report.n_star))
+            for n, delta in enumerate(report.deltas)
+        ]
     config = {
         "rho0": args.rho0, "r_cap": args.r_cap, "tf_frac": args.tf_frac,
-        "nu": nus, "phi": {"kind": phi_kind},
+        "nu": nus, "phi": {"kind": args.phi},
     }
-    _write_manifest(args.out, "degradation", argv, config, None, [args.out], started)
-    print(f"{len(rows)} rows -> {args.out}")
-    return 0
+    return _write_table(args, argv, config,
+                        ("nu", "n", "beta", "delta", "continuous_payoff", "n_star"), rows)
 
 
 def cmd_verify(args, argv) -> int:
-    started = time.monotonic()
     config = None
     resolved: dict = {}
     if args.config is not None:
@@ -292,8 +267,7 @@ def cmd_verify(args, argv) -> int:
               file=sys.stderr)
     if args.out:
         Path(args.out).write_text(payload + "\n")
-        _write_manifest(args.out, "verify", argv, resolved or {"suite": args.suite},
-                        seed, [args.out], started)
+        _write_manifest(args, argv, resolved or {"suite": args.suite}, seed, [args.out])
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -369,6 +343,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.monotonic()
     try:
         return args.func(args, argv)
     except (CliError, ValueError, RuntimeError) as exc:

@@ -65,6 +65,21 @@ def fmt_g(value: float) -> str:
     return format(float(value), ".9g")
 
 
+def write_csv(path, header, rows) -> int:
+    """Write the header and rows as comma-joined, CRLF-ended lines; return the row count.
+
+    No field is quoted.  Every field the package writes (a ``fmt_g`` number,
+    a case tag, ``true``/``false``, an integer or an empty cell) is one that
+    ``csv.writer`` leaves unquoted too, so the bytes are the same.
+    """
+    count = 0
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
+        for count, row in enumerate(rows, 1):
+            handle.write(",".join(row) + "\r\n")
+    return count
+
+
 class DegenerateDirectionError(ValueError):
     """A direction was requested between coincident points."""
 

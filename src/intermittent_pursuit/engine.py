@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (CHECK_TOL, ROUND_TOL, TIME_EPS, EnumerationCapError, GameConfig,
-                   PayoffSpec, Vec2, exceeds, fmt_g)
+                   PayoffSpec, Vec2, exceeds, fmt_g, write_csv)
 from .strategies import (
     EquilibriumEvader,
     EvaderAction,
@@ -242,14 +242,11 @@ def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact):
 
         # Sensing phase: re-query until the pursuer stops asking.  A second
         # request at the same instant is rejected by the log itself.
-        for _ in range(3):
-            p_info = PursuerInfo(t, x_p, log, config, x_e if continuous else None)
-            p_action = pursuer.act(p_info)
-            if not p_action.sense_now:
-                break
+        live = x_e if continuous else None
+        p_action = pursuer.act(PursuerInfo(t, x_p, log, config, live))
+        while p_action.sense_now:
             log = log.record(t, x_e, x_p)
-        else:
-            raise RuntimeError(f"pursuer kept requesting fixes at t={t}")
+            p_action = pursuer.act(PursuerInfo(t, x_p, log, config, live))
         _check_review(p_action.review_at)
         v_p = _pursuer_velocity(p_action)
 
@@ -396,19 +393,15 @@ def sampled_expected_payoff(config: GameConfig, pursuer, n_draws: int, seed: int
 
 
 def write_trajectory_csv(path, result: SimulationResult) -> None:
-    """Write both players' motion segments as CSV.
+    """Write both players' motion segments as CSV through ``core.write_csv``.
 
-    Columns: player, t_start, t_end, x0, y0, vx, vy.  One CRLF-ended row per
-    segment, pursuer rows first; no ``fmt_g`` field ever needs CSV quoting.
+    Columns: player, t_start, t_end, x0, y0, vx, vy.  One row per segment,
+    pursuer rows first, every number through ``fmt_g``.
     """
-    with open(path, "w", newline="") as handle:
-        handle.write("player,t_start,t_end,x0,y0,vx,vy\r\n")
-        for player, trajectory in (
-            ("pursuer", result.pursuer_trajectory),
-            ("evader", result.evader_trajectory),
-        ):
-            handle.writelines(
-                f"{player},{fmt_g(t0)},{fmt_g(t1)},{fmt_g(x0.x)},{fmt_g(x0.y)},"
-                f"{fmt_g(v.x)},{fmt_g(v.y)}\r\n"
-                for t0, t1, x0, v in trajectory.segments
-            )
+    rows = (
+        (player, fmt_g(t0), fmt_g(t1), fmt_g(x0.x), fmt_g(x0.y), fmt_g(v.x), fmt_g(v.y))
+        for player, trajectory in (("pursuer", result.pursuer_trajectory),
+                                   ("evader", result.evader_trajectory))
+        for t0, t1, x0, v in trajectory.segments
+    )
+    write_csv(path, ("player", "t_start", "t_end", "x0", "y0", "vx", "vy"), rows)

@@ -155,15 +155,17 @@ class ContinuousPursuer:
 
 
 class ArrivalSensingPursuer:
-    """Dash to the last fix and request a new one on arrival.
+    """Walk to the last fix, hold there until ``_sense_at``, then sense.
 
-    Each arrival contracts the separation by at least nu, and once
-    nu * rho <= r_cap one blind dash along the anchor bearing is guaranteed
-    to finish, so sensing stops there.  Config name: ``prop1``.
+    Here the hold is empty: a new fix is requested on arrival.  Each arrival
+    contracts the separation by at least nu, and once nu * rho <= r_cap one
+    blind dash along the anchor bearing is guaranteed to finish, so sensing
+    stops there.  With no budget left it parks at the stale fix.  Config
+    name: ``prop1``.
     """
 
     def act(self, info: PursuerInfo) -> PursuerAction:
-        _, anchor_e, anchor_p, rho = info.log.anchor()
+        anchor_t, anchor_e, anchor_p, rho = info.log.anchor()
         cfg = info.config
         if rho == 0.0:
             return PursuerAction(None, 0.0)  # fix coincides with us: capture is due
@@ -171,55 +173,44 @@ class ArrivalSensingPursuer:
             # Endgame: the evader cannot escape the capture disc of this ray.
             return PursuerAction(line_of_sight(anchor_p, anchor_e), 1.0)
         remaining = info.own.dist(anchor_e)
-        if remaining <= CHECK_TOL:  # arrived at the sensed point
-            if info.log.budget_remaining > 0:
-                return PursuerAction(None, 0.0, sense_now=True)
-            return PursuerAction(None, 0.0)  # budget exhausted: park at the stale fix
-        return PursuerAction(
-            line_of_sight(info.own, anchor_e), 1.0, review_at=info.time + remaining
-        )
+        if remaining > CHECK_TOL:
+            return PursuerAction(
+                line_of_sight(info.own, anchor_e), 1.0, review_at=info.time + remaining
+            )
+        t_sense = self._sense_at(info, anchor_t, rho)
+        if before(info.time, t_sense):
+            return PursuerAction(None, 0.0, review_at=t_sense)
+        if info.log.budget_remaining > 0:
+            return PursuerAction(None, 0.0, sense_now=True)
+        return PursuerAction(None, 0.0)  # budget exhausted: park at the fix
+
+    def _sense_at(self, info: PursuerInfo, anchor_t: float, rho: float) -> float:
+        """When to sense once parked at the fix; ``before(t, t)`` is False, so at once."""
+        return info.time
 
 
-class WaitingPursuer:
+class WaitingPursuer(ArrivalSensingPursuer):
     """Budget-and-horizon-aware pursuer: bank spare time at the fix, then sense.
 
     At each anchor (separation rho, remaining time tau, remaining budget
     ell) it checks whether there is time to spare, i.e. whether
     tau > reach_factor(nu, ell) * rho while the capture region is out of
-    reach (nu^(ell+1) * rho > r_cap).  If so it walks to the sensed point,
-    parks until t_fix + (1 - nu) * tau / (1 - nu^(ell+1)), and only then
-    spends a sensing; with ell = 0 the park simply lasts to the horizon.
-    Otherwise it chases exactly like ``ArrivalSensingPursuer``.  Config
-    name: ``thm1``.
+    reach (nu^(ell+1) * rho > r_cap).  If so it holds at the sensed point
+    until t_fix + (1 - nu) * tau / (1 - nu^(ell+1)), and only then spends a
+    sensing; with ell = 0 the hold simply lasts to the horizon.  Otherwise
+    it senses on arrival like ``ArrivalSensingPursuer``.  Time to spare
+    implies nu * rho > r_cap, so the endgame dash never cuts a hold short.
+    Config name: ``thm1``.
     """
 
-    def __init__(self):
-        self._chaser = ArrivalSensingPursuer()
-
-    def act(self, info: PursuerInfo) -> PursuerAction:
-        anchor_t, anchor_e, _, rho = info.log.anchor()
+    def _sense_at(self, info: PursuerInfo, anchor_t: float, rho: float) -> float:
         cfg = info.config
         ell = info.log.budget_remaining
         tau = cfg.t_f - anchor_t
-        if rho > 0.0 and self._time_to_spare(rho, tau, ell, cfg):
-            remaining = info.own.dist(anchor_e)
-            if remaining > CHECK_TOL:
-                return PursuerAction(
-                    line_of_sight(info.own, anchor_e), 1.0, review_at=info.time + remaining
-                )
-            t_sense = anchor_t + sensing_delay(cfg.nu, ell, tau)
-            if before(info.time, t_sense):
-                return PursuerAction(None, 0.0, review_at=t_sense)
-            if ell > 0:
-                return PursuerAction(None, 0.0, sense_now=True)
-            return PursuerAction(None, 0.0)  # no budget: parked until the horizon
-        return self._chaser.act(info)
-
-    @staticmethod
-    def _time_to_spare(rho: float, tau: float, ell: int, cfg: GameConfig) -> bool:
-        if cfg.nu ** (ell + 1) * rho <= cfg.r_cap:
-            return False  # enough budget to corner the evader: just chase
-        return tau > reach_factor(cfg.nu, ell) * rho + ROUND_TOL * max(1.0, tau)
+        # No time to spare once the budget can corner the evader: just chase.
+        spare = (cfg.nu ** (ell + 1) * rho > cfg.r_cap
+                 and tau > reach_factor(cfg.nu, ell) * rho + ROUND_TOL * max(1.0, tau))
+        return anchor_t + sensing_delay(cfg.nu, ell, tau) if spare else info.time
 
 
 class SelfTriggeredPursuer:

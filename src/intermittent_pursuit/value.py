@@ -369,7 +369,7 @@ def value_bound(rho, tau, ell: int, phi: PayoffSpec, nu: float) -> ValueBound:
     shrink = nu ** (ell + 1)
     reach = reach_per_rho * rho
     capture = (rho <= r_cap) | ((tau >= reach) & (shrink * rho <= r_cap))
-    # The wait-or-chase boundary; WaitingPursuer._time_to_spare draws the same one.
+    # The wait-or-chase boundary; WaitingPursuer._sense_at draws the same one.
     short = tau <= reach + ROUND_TOL * _where(tau > 1.0, tau, 1.0)  # max(1.0, tau)
     chase = nu * tau + rho - tau
     chase = _where(chase < 0.0, 0.0, chase)  # max(chase, 0.0)

@@ -127,7 +127,7 @@ class EndpointDeviationPursuer:
         return PursuerAction(offset * (1.0 / length), min(length / cfg.t_f, 1.0))
 
 
-class EarlyWaitPursuer:
+class EarlyWaitPursuer(WaitingPursuer):
     """Mistimed variant of the waiting pursuer: first fix forced at ``sense_time``.
 
     Before that instant it walks toward the free fix (stopping there if it
@@ -140,11 +140,10 @@ class EarlyWaitPursuer:
         if not sense_time > 0:
             raise ValueError(f"sense_time must be positive, got {sense_time}")
         self.sense_time = float(sense_time)
-        self._tail = WaitingPursuer()
 
     def act(self, info: PursuerInfo) -> PursuerAction:
         if len(info.log.times) > 1 or info.log.budget_remaining == 0:
-            return self._tail.act(info)
+            return super().act(info)
         if not before(info.time, self.sense_time):
             return PursuerAction(None, 0.0, sense_now=True)
         _, anchor_e, _, _ = info.log.anchor()
@@ -158,7 +157,7 @@ class EarlyWaitPursuer:
         return PursuerAction(None, 0.0, review_at=self.sense_time)
 
 
-class FirstLegDeviationPursuer:
+class FirstLegDeviationPursuer(WaitingPursuer):
     """Waiting policy with a perturbed first walk leg.
 
     Keeps the prescribed schedule (walk for the anchor separation, park,
@@ -173,11 +172,10 @@ class FirstLegDeviationPursuer:
             raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
         self.angle = float(angle)
         self.gamma = float(gamma)
-        self._tail = WaitingPursuer()
 
     def act(self, info: PursuerInfo) -> PursuerAction:
         if len(info.log.times) > 1:
-            return self._tail.act(info)
+            return super().act(info)
         cfg = info.config
         rho = cfg.initial_distance
         walk_end = min(rho, cfg.t_f)

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -328,10 +330,23 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip() == "0.1.0"
 
 
+def _run_module(*argv):
+    """``python -m intermittent_pursuit`` on this checkout's sources."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "intermittent_pursuit", *argv],
+                          env=env, capture_output=True, text=True)
+
+
 def test_console_script_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "intermittent_pursuit", "--version"],
-        capture_output=True, text=True,
-    )
+    proc = _run_module("--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+def test_module_run_without_a_command_is_usage_error():
+    proc = _run_module()
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "the following arguments are required: command" in proc.stderr

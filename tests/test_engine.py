@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intermittent_pursuit import (
+    CASE_TAGS,
     ArrivalSensingPursuer,
     BudgetViolationError,
     ContinuousPursuer,
@@ -129,6 +130,21 @@ class TestDetectCapture:
         e = Segment(0.0, 3.0, Vec2(1.0, 0.1), Vec2(0.0, 0.0))
         t = detect_capture(p, e, 0.1)
         assert t == pytest.approx(1.0, rel=1e-6)
+
+    def test_tangency_whose_discriminant_rounds_negative(self):
+        # The closest approach is r_cap = 0.25, but the discriminant rounds to
+        # -1.4e-17; only the clamp in _capture_root scores it as a capture.
+        x_e, v_e = Vec2(0.7346489669355872, 0.25), Vec2(-0.22267798121760507, 0.0)
+        b, c = 2.0 * x_e.x * v_e.x, x_e.dot(x_e) - 0.25 * 0.25
+        assert b * b - 4.0 * v_e.dot(v_e) * c < 0.0
+        parked = Segment(0.0, 5.0, Vec2(0.0, 0.0), Vec2(0.0, 0.0))
+        assert detect_capture(parked, Segment(0.0, 5.0, x_e, v_e), 0.25) == 3.2991540650697506
+        cfg = GameConfig(nu=0.5, r_cap=0.25, x_p0=Vec2(0.0, 0.0), x_e0=x_e, t_f=5.0, n=0,
+                         phi=PayoffSpec("hinge", 0.25))
+        outcome = simulate(cfg, EndpointDeviationPursuer(0.0, 0.0),
+                           ScriptedEvader([(5.0, v_e)])).outcome
+        assert outcome.captured
+        assert outcome.capture_time == 3.2991540650697506
 
     def test_capture_past_segment_end(self):
         p = Segment(0.0, 0.5, Vec2(0.0, 0.0), Vec2(1.0, 0.0))
@@ -501,6 +517,16 @@ class TestExpectations:
         assert sampled == pytest.approx(exact, rel=1e-10)
 
 
+# Every kind of field a package CSV holds: fmt_g numbers (signed zeros, infinities
+# and NaN among them), case tags, flags, small integers and empty cells.
+TABLE_FIELDS = st.one_of(
+    st.floats(allow_subnormal=True).map(fmt_g),
+    st.sampled_from([fmt_g(x) for x in (0.0, -0.0, math.inf, -math.inf, math.nan)]),
+    st.sampled_from(CASE_TAGS + ("true", "false", "")),
+    st.integers(0, 20).map(str),
+)
+
+
 class TestTrajectoryCsv:
     def test_layout(self, tmp_path):
         cfg = make_config(rho0=2.0, t_f=1.5, n=1)
@@ -527,9 +553,15 @@ class TestTrajectoryCsv:
         st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                          1.7976931348623157e308, -1.7976931348623157e308, 1e308,
                          math.inf, -math.inf]),
-    )] * 6), max_size=6), st.integers(0, 6))
-    def test_rows_match_the_csv_module_property(self, tmp_path_factory, rows, split):
-        """Byte for byte what ``csv.writer`` writes from the same ``fmt_g`` fields."""
+    )] * 6), max_size=6), st.integers(0, 6),
+        st.integers(2, 7).flatmap(lambda width: st.lists(
+            st.lists(TABLE_FIELDS, min_size=width, max_size=width), min_size=1, max_size=7)))
+    def test_rows_match_the_csv_module_property(self, tmp_path_factory, rows, split, table):
+        """Byte for byte what ``csv.writer`` writes from the same fields.
+
+        Both the trajectory CSV and ``core.write_csv`` on a table drawn from
+        the package's field alphabet (first row as the header) are checked.
+        """
         segments = [Segment(t0, t1, Vec2(x, y), Vec2(vx, vy)) for t0, t1, x, y, vx, vy in rows]
         split = min(split, len(segments))
         result = SimulationResult(
@@ -549,4 +581,11 @@ class TestTrajectoryCsv:
                     writer.writerow([player, fmt_g(seg.t_start), fmt_g(seg.t_end),
                                      fmt_g(seg.x0.x), fmt_g(seg.x0.y),
                                      fmt_g(seg.velocity.x), fmt_g(seg.velocity.y)])
+        assert path.read_bytes() == path.with_suffix(".longhand").read_bytes()
+
+        header, *body = table
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        assert core.write_csv(path, header, body) == len(body)
+        with open(path.with_suffix(".longhand"), "w", newline="") as handle:
+            csv.writer(handle).writerows(table)
         assert path.read_bytes() == path.with_suffix(".longhand").read_bytes()

@@ -2,8 +2,8 @@
 
 A refactor that claims to keep behaviour must leave every digest here
 unchanged: the ``simulate --out`` outcome JSON and trajectory CSV of each
-pursuer against three evaders, three ``value-grid`` CSVs, and the report JSON
-of four ``verify`` suites.  Manifests are not hashed (they carry a wall
+pursuer against three evaders, three ``value-grid`` CSVs, a ``compare-nmax``
+CSV, a ``degradation`` CSV, and the report JSON of four ``verify`` suites.  Manifests are not hashed (they carry a wall
 time).  Regenerate a digest only for an intended change of output.
 """
 
@@ -76,6 +76,8 @@ SIMULATE_DIGESTS = {
 }
 
 OTHER_DIGESTS = {
+    "compare-nmax": "f9c1ed55e5110bf3b1a3fb0f144dc1ccdba1cbffeb3b3377c178106357e18795",
+    "degradation": "9a8f8fde603b616ed68e619040522af1beb788dcf963e82d087ecafe11fb80d5",
     "value-grid": "b0c87ab65ecf7a6779d1ac2f9402e6f2cee01f3b3c1ed56faee7f43e4bcf2cbc",
     "value-grid-quadratic": "d695e065b54a85106a3a34be4976f7bb68d1b0255d0c2635e61be2eef823572b",
     "value-grid-slack": "b68d775c55a64d9de9f73664c83d4238465e5d5c5cec9ae3182568ba83623b23",
@@ -107,6 +109,9 @@ def test_simulate_outputs(pursuer, evader, tmp_path, capsys):
 
 
 OTHER_RUNS = {
+    "compare-nmax": ["compare-nmax", "--nu-min", "0.1", "--nu-max", "0.9"],
+    # A horizon past the capture-time bound defines no beta: every beta cell is empty.
+    "degradation": ["degradation", "--nu", "0.5,0.7", "--tf-frac", "1.3"],
     "value-grid": ["value-grid", "--nu", "0.7", "--r-cap", "0.1", "--rho-max", "3",
                    "--rho-steps", "20", "--tau-max", "5", "--tau-steps", "20",
                    "--ell", "0:4"],

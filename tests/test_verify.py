@@ -1,6 +1,8 @@
 """Tests for the verification suites and their helper strategies."""
 
 import math
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from intermittent_pursuit import (
     CHECK_TOL,
+    PursuerAction,
     ArrivalSensingPursuer,
     ContinuousPursuer,
     EarlyWaitPursuer,
@@ -38,6 +41,7 @@ from intermittent_pursuit import (
     simulate,
     trial_rng,
 )
+from intermittent_pursuit import engine, verify
 from intermittent_pursuit.verify import _radial_speed_at_capture
 from conftest import CrookedHeading, Speeder, make_config
 
@@ -168,6 +172,46 @@ class TestGuaranteeChecks:
             capture_time_bound_check(nu=1.2)
         with pytest.raises(ValueError):
             capture_time_bound_check(rho0=0.05, r_cap=0.1)
+
+
+class ParkedPursuer:
+    """Never moves and never senses."""
+
+    def act(self, info):
+        return PursuerAction(None, 0.0)
+
+
+class TestSuitesCanFail:
+    """Negative controls: each suite reports a claim broken from outside."""
+
+    @staticmethod
+    def _assert_fails_with(report, pattern):
+        assert report.passed is False
+        assert any(re.fullmatch(pattern, line) for line in report.failures), report.failures
+
+    def test_pursuer_suite(self, monkeypatch):
+        monkeypatch.setattr(verify, "WaitingPursuer", ParkedPursuer)
+        self._assert_fails_with(pursuer_guarantee_check(trials=4),
+                                r"radial: payoff \S+ exceeds bound \S+")
+
+    def test_capture_time_suite(self, monkeypatch):
+        monkeypatch.setattr(verify, "ArrivalSensingPursuer", ParkedPursuer)
+        self._assert_fails_with(capture_time_bound_check(trials=2),
+                                "radial: no capture within twice the bound")
+
+    def test_evader_suite(self, monkeypatch):
+        true_bound = verify.value_bound
+        monkeypatch.setattr(verify, "value_bound", lambda *args: replace(
+            true_bound(*args), value=2.0 * true_bound(*args).value + 0.01))
+        self._assert_fails_with(evader_guarantee_check(),
+                                r"endpoint\(\S+\): E\[payoff\] \S+ below bound \S+")
+
+    def test_oracle_suite(self, monkeypatch):
+        true_root = engine._capture_root
+        monkeypatch.setattr(engine, "_capture_root", lambda *args: true_root(
+            *args[:8], 0.5 * args[8], args[9]))
+        self._assert_fails_with(oracle_agreement_check(n_scenarios=6),
+                                r"scenario_\d+: capture-time gap \S+ outside the envelope")
 
 
 class TestJensenSuite:
