@@ -3,8 +3,10 @@
 A refactor that claims to keep behaviour must leave every digest here
 unchanged: the ``simulate --out`` outcome JSON and trajectory CSV of each
 pursuer against three evaders, three ``value-grid`` CSVs, a ``compare-nmax``
-CSV, a ``degradation`` CSV, and the report JSON of four ``verify`` suites.  Manifests are not hashed (they carry a wall
-time).  Regenerate a digest only for an intended change of output.
+CSV, a ``degradation`` CSV, the report JSON of five ``verify`` suites plus
+the evader suite on a state with budget left, and the printed streams of
+``verify all``.  Manifests are not hashed (they carry a wall time).
+Regenerate a digest only for an intended change of output.
 """
 
 import hashlib
@@ -23,6 +25,10 @@ GAME = {
     "nu": 0.7, "r_cap": 0.1, "x_p0": [0.0, 0.0], "x_e0": [1.2, 0.9],
     "t_f": 6.0, "n": 3, "phi": {"kind": "hinge"}, "seed": 7,
 }
+
+# A wait-region state with budget left (rho = 1, t_f = 5, n = 2), where the
+# evader suite plays early_sense, first_leg and the holding WaitingPursuer.
+WAIT_STATE = dict(GAME, x_e0=[1.0, 0.0], t_f=5.0, n=2)
 
 SIMULATE_DIGESTS = {
     "continuous/equilibrium": (
@@ -83,9 +89,17 @@ OTHER_DIGESTS = {
     "value-grid-slack": "b68d775c55a64d9de9f73664c83d4238465e5d5c5cec9ae3182568ba83623b23",
     "verify-capture_time": "bab5fbbb5b3e9cdcb1ea070e78ee86b76fc61711cf8d325c935b304551ac3dc8",
     "verify-evader": "17c3cd7b3cbfabcb7c37ff0baf2284f7bd63abe08b24558872a05547a1493a0d",
+    "verify-evader-wait": "1e25fa1f79deea917ebd2eb6d5fd92be0d4a2581d15207730cb133d181b246b5",
     "verify-jensen": "e00932ab06eb480e2d925c8dac87a8281a992d23e2a6bdbd2d3a953153de3898",
+    "verify-oracle": "8e48728110e77e4766b6389990032dcaa14198e3dedfafc9b7a09aeb88061173",
     "verify-pursuer": "538838272ebce499f990eec3e3957face518ecae585e6548c59216002013c2f9",
 }
+
+# sha256 of the stdout and the stderr of ``verify all --trials 200 --seed 0``.
+VERIFY_ALL_DIGESTS = (
+    "8a88a836a9e0e2cf440036252e06e9f578d10ae91e6e5742f3ff215a3bbac1d6",
+    "03e30425255e456cc892c4b1d3ca3f69098bc2d8e9d714daec38ee2215e7a0d8",
+)
 
 
 def _sha256(path) -> str:
@@ -126,13 +140,34 @@ OTHER_RUNS = {
                          "--tau-steps", "9", "--ell", "0:3"],
     "verify-pursuer": ["verify", "pursuer", "--trials", "50"],
     "verify-evader": ["verify", "evader"],
+    "verify-evader-wait": ["verify", "evader"],
+    "verify-oracle": ["verify", "oracle"],
     "verify-capture_time": ["verify", "capture_time", "--trials", "20"],
     "verify-jensen": ["verify", "jensen", "--trials", "200"],
 }
 
 
+OTHER_CONFIGS = {"verify-evader-wait": WAIT_STATE}
+
+
 @pytest.mark.parametrize("name", sorted(OTHER_RUNS))
 def test_other_outputs(name, tmp_path, capsys):
+    argv = list(OTHER_RUNS[name])
+    if name in OTHER_CONFIGS:
+        config = tmp_path / "game.json"
+        config.write_text(json.dumps(OTHER_CONFIGS[name]))
+        argv += ["--config", str(config)]
     out = tmp_path / "out"
-    _run(capsys, *OTHER_RUNS[name], "--out", str(out))
+    _run(capsys, *argv, "--out", str(out))
     assert _sha256(out) == OTHER_DIGESTS[name]
+
+
+def test_verify_all_streams(capsys):
+    """Every suite's report JSON on stdout and its verdict line on stderr; exit 1.
+
+    The exit is 1 because the jensen suites report the false RMS form.
+    """
+    assert main(["verify", "all", "--trials", "200", "--seed", "0"]) == 1
+    out, err = capsys.readouterr()
+    got = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
+    assert got == VERIFY_ALL_DIGESTS
