@@ -40,11 +40,11 @@ class CliError(Exception):
     """User-facing error; ``main`` prints it and exits 2."""
 
 
-def _write_manifest(args, argv, config: dict, seed: Optional[int], outputs: list[str]) -> None:
+def _write_manifest(args, config: dict, seed: Optional[int], outputs: list[str]) -> None:
     """Write the reproducibility record ``<args.out>.manifest.json``."""
     manifest = {
         "command": args.command,
-        "argv": list(argv),
+        "argv": list(args.argv),
         "config": config,
         "seed": seed,
         "version": __version__,
@@ -90,10 +90,10 @@ def _config_from_file(path: str, seed_override: Optional[int]):
     return config, pursuer_choice, evader_choice, resolved
 
 
-def _write_table(args, argv, config: dict, header: tuple[str, ...], rows) -> int:
+def _write_table(args, config: dict, header: tuple[str, ...], rows) -> int:
     """The table commands' exit: the CSV, its manifest and the ``N rows -> out`` line."""
     count = write_csv(args.out, header, rows)
-    _write_manifest(args, argv, config, None, [args.out])
+    _write_manifest(args, config, None, [args.out])
     print(f"{count} rows -> {args.out}")
     return 0
 
@@ -102,7 +102,7 @@ def _bool_str(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def cmd_simulate(args, argv) -> int:
+def cmd_simulate(args) -> int:
     config, pursuer_choice, evader_choice, resolved = _config_from_file(args.config, args.seed)
     try:
         pursuer = build_pursuer(pursuer_choice, config)
@@ -123,7 +123,7 @@ def cmd_simulate(args, argv) -> int:
             json.dumps(outcome.to_json_dict(), indent=2) + "\n"
         )
         write_trajectory_csv(traj_path, result)
-        _write_manifest(args, argv, resolved, config.seed, [outcome_path, traj_path])
+        _write_manifest(args, resolved, config.seed, [outcome_path, traj_path])
     return 0
 
 
@@ -153,7 +153,7 @@ def _linspace(lo: float, hi: float, steps: int, what: str) -> list[float]:
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-def cmd_value_grid(args, argv) -> int:
+def cmd_value_grid(args) -> int:
     if not 0.0 < args.nu < 1.0:
         raise CliError(f"--nu must lie in (0, 1), got {args.nu}")
     if args.r_cap <= 0.0:
@@ -182,11 +182,11 @@ def cmd_value_grid(args, argv) -> int:
         "tau": [args.tau_min, args.tau_max, args.tau_steps],
         "ell": args.ell,
     }
-    return _write_table(args, argv, config,
+    return _write_table(args, config,
                         ("rho", "tau", "ell", "value", "case_tag", "is_tight"), rows)
 
 
-def cmd_compare_nmax(args, argv) -> int:
+def cmd_compare_nmax(args) -> int:
     if not 0.0 < args.nu_min <= args.nu_max < 1.0:
         raise CliError(
             f"--nu range must satisfy 0 < min <= max < 1, got [{args.nu_min}, {args.nu_max}]"
@@ -203,7 +203,7 @@ def cmd_compare_nmax(args, argv) -> int:
         "rho0": args.rho0, "r_cap": args.r_cap,
         "nu": [args.nu_min, args.nu_max, args.nu_steps],
     }
-    return _write_table(args, argv, config, ("nu", "aleem_n_max", "prop1_n_max"), rows)
+    return _write_table(args, config, ("nu", "aleem_n_max", "prop1_n_max"), rows)
 
 
 def _parse_nu_list(raw: str) -> list[float]:
@@ -219,7 +219,7 @@ def _parse_nu_list(raw: str) -> list[float]:
     return values
 
 
-def cmd_degradation(args, argv) -> int:
+def cmd_degradation(args) -> int:
     if not 0.0 < args.r_cap < args.rho0:
         raise CliError(f"need 0 < r_cap < rho0, got r_cap={args.r_cap}, rho0={args.rho0}")
     if args.tf_frac <= 0.0:
@@ -243,11 +243,11 @@ def cmd_degradation(args, argv) -> int:
         "rho0": args.rho0, "r_cap": args.r_cap, "tf_frac": args.tf_frac,
         "nu": nus, "phi": {"kind": args.phi},
     }
-    return _write_table(args, argv, config,
+    return _write_table(args, config,
                         ("nu", "n", "beta", "delta", "continuous_payoff", "n_star"), rows)
 
 
-def cmd_verify(args, argv) -> int:
+def cmd_verify(args) -> int:
     config = None
     resolved: dict = {}
     if args.config is not None:
@@ -267,7 +267,7 @@ def cmd_verify(args, argv) -> int:
               file=sys.stderr)
     if args.out:
         Path(args.out).write_text(payload + "\n")
-        _write_manifest(args, argv, resolved or {"suite": args.suite}, seed, [args.out])
+        _write_manifest(args, resolved or {"suite": args.suite}, seed, [args.out])
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -343,9 +343,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.started = time.monotonic()
+    args.argv, args.started = argv, time.monotonic()
     try:
-        return args.func(args, argv)
+        return args.func(args)
     except (CliError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,9 +22,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import (CHECK_TOL, ROUND_TOL, BudgetViolationError, GameConfig,
-                   RegionNotCoveredError, Vec2, before, line_of_sight, perpendicular)
-from .value import in_loose_region, reach_factor, sensing_delay, trigger_coefficient
+from .core import (CHECK_TOL, BudgetViolationError, GameConfig, RegionNotCoveredError, Vec2,
+                   before, line_of_sight, perpendicular)
+from .value import holds_at_fix, in_loose_region, sensing_delay, trigger_coefficient
 
 __all__ = [
     "SensingLog",
@@ -193,24 +193,22 @@ class WaitingPursuer(ArrivalSensingPursuer):
     """Budget-and-horizon-aware pursuer: bank spare time at the fix, then sense.
 
     At each anchor (separation rho, remaining time tau, remaining budget
-    ell) it checks whether there is time to spare, i.e. whether
-    tau > reach_factor(nu, ell) * rho while the capture region is out of
-    reach (nu^(ell+1) * rho > r_cap).  If so it holds at the sensed point
-    until t_fix + (1 - nu) * tau / (1 - nu^(ell+1)), and only then spends a
+    ell) it asks ``holds_at_fix``: is there time to spare while the capture
+    region is out of reach?  If so it holds at the sensed point until
+    t_fix + (1 - nu) * tau / (1 - nu^(ell+1)), and only then spends a
     sensing; with ell = 0 the hold simply lasts to the horizon.  Otherwise
-    it senses on arrival like ``ArrivalSensingPursuer``.  Time to spare
-    implies nu * rho > r_cap, so the endgame dash never cuts a hold short.
-    Config name: ``thm1``.
+    it senses on arrival like ``ArrivalSensingPursuer``.  A hold implies
+    nu * rho > r_cap, so the endgame dash never cuts a hold short.  Config
+    name: ``thm1``.
     """
 
     def _sense_at(self, info: PursuerInfo, anchor_t: float, rho: float) -> float:
         cfg = info.config
         ell = info.log.budget_remaining
         tau = cfg.t_f - anchor_t
-        # No time to spare once the budget can corner the evader: just chase.
-        spare = (cfg.nu ** (ell + 1) * rho > cfg.r_cap
-                 and tau > reach_factor(cfg.nu, ell) * rho + ROUND_TOL * max(1.0, tau))
-        return anchor_t + sensing_delay(cfg.nu, ell, tau) if spare else info.time
+        if holds_at_fix(rho, tau, ell, cfg.nu, cfg.r_cap):
+            return anchor_t + sensing_delay(cfg.nu, ell, tau)
+        return info.time
 
 
 class SelfTriggeredPursuer:
@@ -278,13 +276,13 @@ class EquilibriumEvader:
         self.thetas = thetas
 
     def act(self, info: EvaderInfo) -> EvaderAction:
-        anchor_t, _, _, rho = info.log.anchor()
+        anchor_t, anchor_e, anchor_p, rho = info.log.anchor()
         cfg = info.config
         if rho == 0.0:
             return EvaderAction(Vec2(0.0, 0.0))
         tau = cfg.t_f - anchor_t
         ell = info.log.budget_remaining
-        bearing = line_of_sight(info.log.pursuer_positions[-1], info.log.sensed_positions[-1])
+        bearing = line_of_sight(anchor_p, anchor_e)
         terminal = (ell == 0 and tau <= rho) or (ell >= 1 and tau < rho)
         if terminal:
             return EvaderAction(bearing * cfg.nu)

@@ -45,7 +45,7 @@ __all__ = [
     "CASE_TAGS",
     "ValueBound",
     "in_loose_region",
-    "in_loose_region_budgeted",
+    "holds_at_fix",
     "value_bound",
     "matching_sense_count",
     "continuous_sensing_payoff",
@@ -130,6 +130,11 @@ def sense_count_self_triggered(rho0: float, r_cap: float, nu: float) -> int:
     return max(_ceil_nudged(q), 0)
 
 
+def _arrival_count(rho0: float, target: float, nu: float) -> int:
+    """Shrinks by nu that keep rho0 >= target: floor(log(target/rho0) / log(nu)), at least 0."""
+    return max(_floor_nudged((math.log(target) - math.log(rho0)) / math.log(nu)), 0)
+
+
 def sense_count_arrival(rho0: float, r_cap: float, nu: float) -> int:
     """Sensings the move-to-last-fix scheme needs: floor(log(r_cap/rho0)/log(nu)).
 
@@ -139,8 +144,7 @@ def sense_count_arrival(rho0: float, r_cap: float, nu: float) -> int:
     """
     _check_nu(nu)
     _check_radii(rho0, r_cap)
-    q = (math.log(r_cap) - math.log(rho0)) / math.log(nu)
-    return max(_floor_nudged(q), 0)
+    return _arrival_count(rho0, r_cap, nu)
 
 
 def travel_budget(rho0: float, r_cap: float, nu: float) -> tuple[int, float]:
@@ -155,11 +159,7 @@ def travel_budget(rho0: float, r_cap: float, nu: float) -> tuple[int, float]:
         raise ValueError(f"r_cap must be positive and finite, got {r_cap}")
     if not (math.isfinite(rho0) and rho0 > 0):
         raise ValueError(f"rho0 must be positive and finite, got {rho0}")
-    if r_cap > rho0:
-        dashes = 0
-    else:
-        q = (math.log(r_cap) - math.log(rho0)) / math.log(nu)
-        dashes = _floor_nudged(q) + 1
+    dashes = 0 if r_cap > rho0 else _arrival_count(rho0, r_cap, nu) + 1
     sensings = max(dashes - 1, 0)
     max_travel = (1.0 - nu ** (dashes + 1)) / (1.0 - nu) * rho0
     return sensings, max_travel
@@ -313,16 +313,19 @@ def in_loose_region(rho: float, tau: float, nu: float, r_cap: float) -> bool:
     return _in_slack(rho, tau, 0, nu, r_cap)
 
 
-def in_loose_region_budgeted(rho: float, tau: float, ell: int, nu: float, r_cap: float) -> bool:
-    """Slack region test used for budgets ell >= 1, with its own scaling.
+def holds_at_fix(rho, tau, ell: int, nu: float, r_cap: float):
+    """Whether the waiting pursuer, parked at a fix, holds there before sensing.
 
-    tau >= reach_factor(nu, ell)*rho and r_cap <= rho <= sqrt(1+nu^2)*r_cap.
-    Note the left inequality is on rho itself, not nu*rho as in the
-    zero-budget region; both predicates are exposed so callers can compare.
+    ``rho``, ``tau`` and ``ell`` are the separation, the time and the budget
+    left at the fix.  It holds, element for element, while the budget cannot
+    corner the evader (nu^(ell+1)*rho > r_cap) and there is time to spare
+    (tau > reach_factor(nu, ell)*rho past a ``ROUND_TOL`` band).  These are
+    the wait_region states of ``value_bound`` for ell >= 1; at ell = 0 the
+    hold lasts to the horizon.
     """
-    if not isinstance(ell, int) or ell < 1:
-        raise ValueError(f"ell must be a positive integer here, got {ell!r}")
-    return _in_slack(rho, tau, ell, nu, r_cap, reach_factor(nu, ell))
+    band = ROUND_TOL * _where(tau > 1.0, tau, 1.0)  # ROUND_TOL * max(1.0, tau)
+    spare = tau > reach_factor(nu, ell) * rho + band
+    return (nu ** (ell + 1) * rho > r_cap) & spare
 
 
 def value_bound(rho, tau, ell: int, phi: PayoffSpec, nu: float) -> ValueBound:
@@ -334,10 +337,12 @@ def value_bound(rho, tau, ell: int, phi: PayoffSpec, nu: float) -> ValueBound:
 
     * capture_region: 0 when tau >= reach_factor(nu, ell)*rho and
       nu^(ell+1)*rho <= r_cap (enough time and enough sensings to corner);
-    * time_limited: phi(nu*tau + rho - tau) when tau <= reach_factor*rho
-      (chasing is all the pursuer can do with the time left);
-    * wait_region: phi((1-nu)/(1-nu^(ell+1)) * nu^(ell+1) * tau) otherwise
-      (the pursuer banks time at the sensed point before spending sensings).
+    * wait_region: phi((1-nu)/(1-nu^(ell+1)) * nu^(ell+1) * tau) where
+      ``holds_at_fix`` (the pursuer banks time at the sensed point before
+      spending sensings);
+    * time_limited: phi(nu*tau + rho - tau) otherwise, when
+      tau <= reach_factor*rho (chasing is all the pursuer can do with the
+      time left).
 
     Queries on the time_limited/wait_region boundary resolve to time_limited;
     the two branches agree there (both give phi(nu^(ell+1)*rho)), and the
@@ -369,13 +374,12 @@ def value_bound(rho, tau, ell: int, phi: PayoffSpec, nu: float) -> ValueBound:
     shrink = nu ** (ell + 1)
     reach = reach_per_rho * rho
     capture = (rho <= r_cap) | ((tau >= reach) & (shrink * rho <= r_cap))
-    # The wait-or-chase boundary; WaitingPursuer._sense_at draws the same one.
-    short = tau <= reach + ROUND_TOL * _where(tau > 1.0, tau, 1.0)  # max(1.0, tau)
+    wait = holds_at_fix(rho, tau, ell, nu, r_cap)
     chase = nu * tau + rho - tau
     chase = _where(chase < 0.0, 0.0, chase)  # max(chase, 0.0)
-    distance = _where(short, chase, (1.0 - nu) / (1.0 - shrink) * shrink * tau)
-    return _bound(phi, capture, distance, (capture, short),
-                  (CAPTURE_REGION, TIME_LIMITED, WAIT_REGION), slack)
+    distance = _where(wait, (1.0 - nu) / (1.0 - shrink) * shrink * tau, chase)
+    return _bound(phi, capture, distance, (capture, wait),
+                  (CAPTURE_REGION, WAIT_REGION, TIME_LIMITED), slack)
 
 
 def matching_sense_count(rho0: float, t_f: float, nu: float, r_cap: float) -> int:
@@ -398,11 +402,8 @@ def matching_sense_count(rho0: float, t_f: float, nu: float, r_cap: float) -> in
             f"{math.sqrt(1.0 + nu * nu) * r_cap}"
         )
     if t_f < (rho0 - r_cap) / (1.0 - nu):
-        gap = rho0 - (1.0 - nu) * t_f
-        q = (math.log(gap) - math.log(rho0)) / math.log(nu)
-    else:
-        q = (math.log(r_cap) - math.log(rho0)) / math.log(nu)
-    return max(_floor_nudged(q), 0)
+        return _arrival_count(rho0, rho0 - (1.0 - nu) * t_f, nu)
+    return _arrival_count(rho0, r_cap, nu)
 
 
 def continuous_sensing_payoff(rho0: float, t_f: float, nu: float, phi: PayoffSpec) -> float:

@@ -466,8 +466,7 @@ def capture_time_bound_check(
     if not 0.0 < r_cap < rho0:
         raise ValueError(f"need 0 < r_cap < rho0, got r_cap={r_cap}, rho0={rho0}")
     time_bound = (rho0 - r_cap) / (1.0 - nu)
-    max_senses = sense_count_arrival(rho0, r_cap, nu)
-    _, max_travel = travel_budget(rho0, r_cap, nu)
+    max_senses, max_travel = travel_budget(rho0, r_cap, nu)
     config = GameConfig(
         nu=nu, r_cap=r_cap,
         x_p0=Vec2(0.0, 0.0), x_e0=Vec2(rho0, 0.0),

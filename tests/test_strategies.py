@@ -3,9 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intermittent_pursuit import (
     CHECK_TOL,
+    ROUND_TOL,
     ArrivalSensingPursuer,
     BudgetViolationError,
     CaptureAvoidingEvader,
@@ -24,10 +27,13 @@ from intermittent_pursuit import (
     WaitingPursuer,
     build_evader,
     build_pursuer,
+    reach_factor,
+    sensing_delay,
     simulate,
     theta_stream,
     trial_rng,
     trigger_coefficient,
+    value_bound,
 )
 from conftest import make_config
 
@@ -182,6 +188,46 @@ class TestWaitingPursuer:
         action = WaitingPursuer().act(pursuer_info(cfg))
         assert action.speed_fraction == 1.0
         assert action.review_at == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def _parked_states(draw):
+    """(nu, r_cap, ell, anchor_t, rho, tau) on, near and away from both edges of the hold rule.
+
+    r_cap is nu^(ell+1)*rho times a drawn factor, or times 1 so that the
+    capture edge is met with equality; tau is drawn, or set a few
+    ``ROUND_TOL`` bands either side of reach_factor(nu, ell)*rho.
+    """
+    nu = draw(st.floats(0.05, 0.95))
+    ell = draw(st.integers(1, 6))
+    rho = draw(st.floats(0.01, 5.0))
+    r_cap = nu ** (ell + 1) * rho * draw(st.one_of(st.just(1.0), st.floats(0.1, 2.0)))
+    edge = reach_factor(nu, ell) * rho
+    band = ROUND_TOL * max(1.0, edge)
+    tau = draw(st.one_of(st.floats(0.0, 3.0 * edge),
+                         st.integers(-4, 4).map(lambda k: edge + k * band)))
+    anchor_t = draw(st.floats(0.5, 3.0))
+    return nu, r_cap, ell, anchor_t, rho, tau
+
+
+@settings(max_examples=300)
+@given(_parked_states())
+def test_waiting_pursuer_holds_exactly_in_the_wait_region_property(state):
+    """With budget left, the pursuer parked at its fix holds iff the bound is wait_region.
+
+    It is queried at the fix instant, so that a hold of any length shows as
+    a review time, which must then be the prescribed one exactly.
+    """
+    nu, r_cap, ell, anchor_t, rho, tau = state
+    cfg = make_config(nu=nu, r_cap=r_cap, rho0=rho, t_f=anchor_t + tau, n=ell + 1)
+    log = SensingLog.initial(cfg).record(anchor_t, cfg.x_e0, cfg.x_p0)
+    tau = cfg.t_f - anchor_t  # as the pursuer reads it
+    action = WaitingPursuer().act(pursuer_info(cfg, t=anchor_t, own=cfg.x_e0, log=log))
+    holds = action.speed_fraction == 0.0 and action.review_at is not None
+    bound = value_bound(rho, tau, ell, cfg.phi, nu)
+    assert holds == (bound.case_tag == "wait_region"), (bound, action)
+    if holds:
+        assert action.review_at == anchor_t + sensing_delay(nu, ell, tau)
 
 
 class TestSelfTriggeredPursuer:

@@ -22,7 +22,6 @@ from intermittent_pursuit import (
     continuous_sensing_payoff,
     degradation_report,
     in_loose_region,
-    in_loose_region_budgeted,
     matching_sense_count,
     reach_factor,
     sense_count_arrival,
@@ -327,7 +326,6 @@ class TestValueBound:
             inside = 0.5 * (r_cap + band_hi)
             tau = reach_factor(nu, ell) * inside + 1.0
             assert not value_bound(inside, tau, ell, HINGE, nu).is_tight
-            assert in_loose_region_budgeted(inside, tau, ell, nu, r_cap)
             # just outside the band in rho, tightness returns
             assert value_bound(band_hi * 1.01, reach_factor(nu, ell) * band_hi * 1.01 + 1.0,
                                ell, HINGE, nu).is_tight
@@ -341,8 +339,6 @@ class TestValueBound:
             value_bound(-1.0, 1.0, 1, HINGE, 0.7)
         with pytest.raises(ValueError):
             value_bound(1.0, 1.0, 1, HINGE, 1.0)
-        with pytest.raises(ValueError):
-            in_loose_region_budgeted(1.0, 1.0, 0, 0.7, 0.1)
         with pytest.raises(ValueError):
             ValueBound(1.0, "no_such_tag", True)
 
