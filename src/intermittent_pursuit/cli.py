@@ -82,7 +82,7 @@ def _config_from_file(path: str, seed_override: Optional[int]):
         data["seed"] = seed_override
     try:
         config = GameConfig.from_dict(data)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise CliError(f"{path}: {exc}") from None
     resolved = config.to_dict()
     resolved["pursuer"] = pursuer_choice
@@ -107,7 +107,7 @@ def cmd_simulate(args) -> int:
     try:
         pursuer = build_pursuer(pursuer_choice, config)
         evader = build_evader(evader_choice, config)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise CliError(f"{args.config}: {exc}") from None
     result = simulate(config, pursuer, evader)
     outcome = result.outcome

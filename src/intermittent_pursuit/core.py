@@ -189,8 +189,6 @@ class GameConfig:
     def __post_init__(self):
         if not (0.0 < self.nu < 1.0):
             raise ValueError(f"nu must lie strictly in (0, 1), got {self.nu}")
-        if not (math.isfinite(self.r_cap) and self.r_cap > 0):
-            raise ValueError(f"r_cap must be positive and finite, got {self.r_cap}")
         if not isinstance(self.x_p0, Vec2) or not isinstance(self.x_e0, Vec2):
             raise ValueError("x_p0 and x_e0 must be Vec2 instances")
         if not all(map(math.isfinite, (self.x_p0.x, self.x_p0.y, self.x_e0.x, self.x_e0.y))):

@@ -259,7 +259,6 @@ def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact):
         for review in (p_action.review_at, e_action.review_at):
             if review is not None and t + TIME_EPS < review < t_next:
                 t_next = review
-        t_next = min(t_next, config.t_f)
 
         vpx, vpy, vex, vey = v_p.x, v_p.y, v_e.x, v_e.y
         t_hit = first_contact(t, t_next, px, py, vpx, vpy, ex, ey, vex, vey)

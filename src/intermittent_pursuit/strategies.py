@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import (CHECK_TOL, BudgetViolationError, GameConfig, RegionNotCoveredError, Vec2,
-                   before, line_of_sight, perpendicular)
+                   _vec_from, before, line_of_sight, perpendicular)
 from .value import holds_at_fix, in_loose_region, sensing_delay, trigger_coefficient
 
 __all__ = [
@@ -167,8 +167,6 @@ class ArrivalSensingPursuer:
     def act(self, info: PursuerInfo) -> PursuerAction:
         anchor_t, anchor_e, anchor_p, rho = info.log.anchor()
         cfg = info.config
-        if rho == 0.0:
-            return PursuerAction(None, 0.0)  # fix coincides with us: capture is due
         if cfg.nu * rho <= cfg.r_cap:
             # Endgame: the evader cannot escape the capture disc of this ray.
             return PursuerAction(line_of_sight(anchor_p, anchor_e), 1.0)
@@ -225,8 +223,6 @@ class SelfTriggeredPursuer:
     def act(self, info: PursuerInfo) -> PursuerAction:
         anchor_t, anchor_e, anchor_p, rho = info.log.anchor()
         cfg = info.config
-        if rho == 0.0:
-            return PursuerAction(None, 0.0)
         heading = line_of_sight(anchor_p, anchor_e)
         if info.log.budget_remaining == 0:
             return PursuerAction(heading, 1.0)
@@ -270,16 +266,14 @@ class EquilibriumEvader:
     """
 
     def __init__(self, thetas: Sequence[int]):
-        thetas = tuple(int(t) for t in thetas)
-        if any(t not in (1, -1) for t in thetas):
-            raise ValueError(f"thetas must be +1/-1 values, got {thetas}")
+        thetas = tuple(thetas)
+        if any(type(t) is not int or t not in (1, -1) for t in thetas):
+            raise ValueError(f"thetas must be +1/-1 integers, got {thetas}")
         self.thetas = thetas
 
     def act(self, info: EvaderInfo) -> EvaderAction:
         anchor_t, anchor_e, anchor_p, rho = info.log.anchor()
         cfg = info.config
-        if rho == 0.0:
-            return EvaderAction(Vec2(0.0, 0.0))
         tau = cfg.t_f - anchor_t
         ell = info.log.budget_remaining
         bearing = line_of_sight(anchor_p, anchor_e)
@@ -407,43 +401,48 @@ def theta_stream(seed: int, trial: int, length: int) -> tuple[int, ...]:
     return tuple(int(x) for x in rng.choice((-1, 1), size=length))
 
 
-PURSUER_NAMES = ("continuous", "prop1", "thm1", "aleem")
-EVADER_NAMES = ("radial", "equilibrium", "safe_heuristic", "scripted")
+# Config name -> (class, allowed parameter keys).
+_PURSUERS = {
+    "continuous": (ContinuousPursuer, ("review_dt",)),
+    "prop1": (ArrivalSensingPursuer, ()),
+    "thm1": (WaitingPursuer, ()),
+    "aleem": (SelfTriggeredPursuer, ()),
+}
+_EVADERS = {
+    "radial": (RadialEvader, ("review_dt",)),
+    "equilibrium": (EquilibriumEvader, ("thetas",)),
+    "safe_heuristic": (CaptureAvoidingEvader, ("margin", "review_dt", "orientation")),
+    "scripted": (ScriptedEvader, ("legs",)),
+}
+PURSUER_NAMES = tuple(_PURSUERS)
+EVADER_NAMES = tuple(_EVADERS)
 
 
-def _split_selector(selector, role: str) -> tuple[str, dict]:
+def _lookup(selector, role: str, table: dict) -> tuple[type, dict]:
+    """The class and parameters a config-file name or ``{"name": ..., **params}`` selects."""
     if isinstance(selector, str):
-        return selector, {}
-    if isinstance(selector, dict):
+        name, params = selector, {}
+    elif isinstance(selector, dict):
         if "name" not in selector:
             raise ValueError(f"{role} object needs a 'name' key, got {sorted(selector)}")
         params = dict(selector)
-        return params.pop("name"), params
-    raise ValueError(f"{role} must be a name or an object, got {selector!r}")
-
-
-def _check_params(name: str, params: dict, allowed: tuple[str, ...]) -> None:
+        name = params.pop("name")
+    else:
+        raise ValueError(f"{role} must be a name or an object, got {selector!r}")
+    names = tuple(table)
+    if name not in names:  # a tuple scan, so an unhashable name is unknown too
+        raise ValueError(f"unknown {role} {name!r}; expected one of {names}")
+    cls, allowed = table[name]
     extra = sorted(set(params) - set(allowed))
     if extra:
         raise ValueError(f"{name} got unknown parameters: {extra}")
+    return cls, params
 
 
 def build_pursuer(selector, config: GameConfig):
     """Construct a pursuer strategy from its config-file name or object."""
-    name, params = _split_selector(selector, "pursuer")
-    if name == "continuous":
-        _check_params(name, params, ("review_dt",))
-        return ContinuousPursuer(**params)
-    if name == "prop1":
-        _check_params(name, params, ())
-        return ArrivalSensingPursuer()
-    if name == "thm1":
-        _check_params(name, params, ())
-        return WaitingPursuer()
-    if name == "aleem":
-        _check_params(name, params, ())
-        return SelfTriggeredPursuer()
-    raise ValueError(f"unknown pursuer {name!r}; expected one of {PURSUER_NAMES}")
+    cls, params = _lookup(selector, "pursuer", _PURSUERS)
+    return cls(**params)
 
 
 def build_evader(selector, config: GameConfig):
@@ -452,23 +451,14 @@ def build_evader(selector, config: GameConfig):
     The equilibrium evader draws its orientation stream from the config seed
     (trial 0) unless an explicit ``thetas`` list is supplied.
     """
-    name, params = _split_selector(selector, "evader")
-    if name == "radial":
-        _check_params(name, params, ("review_dt",))
-        return RadialEvader(**params)
-    if name == "equilibrium":
-        _check_params(name, params, ("thetas",))
+    cls, params = _lookup(selector, "evader", _EVADERS)
+    if cls is EquilibriumEvader:
         thetas = params.get("thetas")
         if thetas is None:
             thetas = theta_stream(config.seed, 0, config.n + 1)
         return EquilibriumEvader(thetas)
-    if name == "safe_heuristic":
-        _check_params(name, params, ("margin", "review_dt", "orientation"))
-        return CaptureAvoidingEvader(**params)
-    if name == "scripted":
-        _check_params(name, params, ("legs",))
+    if cls is ScriptedEvader:
         if "legs" not in params:
             raise ValueError("scripted evader needs a 'legs' list of [t_end, [vx, vy]] pairs")
-        legs = [(t_end, Vec2(float(v[0]), float(v[1]))) for t_end, v in params["legs"]]
-        return ScriptedEvader(legs)
-    raise ValueError(f"unknown evader {name!r}; expected one of {EVADER_NAMES}")
+        return ScriptedEvader([(t, _vec_from(v, "leg velocity")) for t, v in params["legs"]])
+    return cls(**params)

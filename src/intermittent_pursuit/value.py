@@ -276,9 +276,6 @@ def _bound(phi: PayoffSpec, capture, distance, conditions, tags, slack) -> Value
                 break
         return ValueBound(float(value), tag, not slack)
     distance = np.where(capture, 0.0, distance)
-    bad = distance < 0.0
-    if bad.any():
-        raise ValueError(f"distance must be nonnegative, got {distance[bad].tolist()[0]}")
     excess = distance - phi.r_cap
     value = np.where(excess < 0.0, 0.0, excess)  # max(excess, 0.0), as in evaluate
     if phi.kind != "hinge":
@@ -323,9 +320,13 @@ def holds_at_fix(rho, tau, ell: int, nu: float, r_cap: float):
     the wait_region states of ``value_bound`` for ell >= 1; at ell = 0 the
     hold lasts to the horizon.
     """
+    return _holds(rho, tau, reach_factor(nu, ell), nu ** (ell + 1), r_cap)
+
+
+def _holds(rho, tau, reach, shrink, r_cap):
+    """``holds_at_fix`` given reach_factor(nu, ell) and nu^(ell+1), unchecked."""
     band = ROUND_TOL * _where(tau > 1.0, tau, 1.0)  # ROUND_TOL * max(1.0, tau)
-    spare = tau > reach_factor(nu, ell) * rho + band
-    return (nu ** (ell + 1) * rho > r_cap) & spare
+    return (shrink * rho > r_cap) & (tau > reach * rho + band)
 
 
 def value_bound(rho, tau, ell: int, phi: PayoffSpec, nu: float) -> ValueBound:
@@ -358,9 +359,7 @@ def value_bound(rho, tau, ell: int, phi: PayoffSpec, nu: float) -> ValueBound:
     tightness flag follows the budget's slack predicate even where the value
     comes from the capture case.
     """
-    if not isinstance(ell, int) or ell < 0:
-        raise ValueError(f"ell must be a nonnegative integer, got {ell!r}")
-    reach_per_rho = reach_factor(nu, ell)  # checks nu
+    reach_per_rho = reach_factor(nu, ell)  # checks nu and ell
     rho = _checked(rho, "rho")
     tau = _checked(tau, "tau")
     r_cap = phi.r_cap
@@ -374,7 +373,7 @@ def value_bound(rho, tau, ell: int, phi: PayoffSpec, nu: float) -> ValueBound:
     shrink = nu ** (ell + 1)
     reach = reach_per_rho * rho
     capture = (rho <= r_cap) | ((tau >= reach) & (shrink * rho <= r_cap))
-    wait = holds_at_fix(rho, tau, ell, nu, r_cap)
+    wait = _holds(rho, tau, reach_per_rho, shrink, r_cap)
     chase = nu * tau + rho - tau
     chase = _where(chase < 0.0, 0.0, chase)  # max(chase, 0.0)
     distance = _where(wait, (1.0 - nu) / (1.0 - shrink) * shrink * tau, chase)

@@ -228,10 +228,9 @@ def default_evader_config() -> GameConfig:
 
 def _with_scripted(config: GameConfig, entries: list, trials: int, seed: int) -> list:
     """The structured adversaries, then seeded random evaders up to ``trials`` in all."""
-    count = max(trials, len(entries))
-    for i in range(len(entries), count):
+    for i in range(len(entries), trials):
         entries.append((f"scripted_{i}", random_piecewise_evader(config, trial_rng(seed, i))))
-    return entries[:count]
+    return entries
 
 
 def pursuer_guarantee_check(
@@ -542,10 +541,7 @@ def _radial_speed_at_capture(result) -> float:
     e_seg = result.evader_trajectory.segments[-1]
     d = e_seg.end_position - p_seg.end_position
     w = e_seg.velocity - p_seg.velocity
-    norm = d.norm()
-    if norm == 0.0:
-        return -1.0
-    return d.dot(w) / norm
+    return d.dot(w) / d.norm()
 
 
 def _oracle_scenario(seed: int, cand: int):

@@ -92,6 +92,9 @@ class TestSimulate:
                                capsys=capsys)
         assert code == 2
         assert "no such file" in err
+        code, out, err = run_cli("simulate", "--config", str(tmp_path), capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {tmp_path}: Is a directory\n"
 
     def test_bad_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -138,6 +141,30 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert f"{key} must be" in err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"evader": {"name": "scripted", "legs": [[1, 5]]}},
+         "leg velocity must be a pair [x, y], got 5"),
+        ({"evader": {"name": "scripted", "legs": 3}}, "'int' object is not iterable"),
+        ({"evader": {"name": "radial", "review_dt": "0.1"}}, "'>' not supported"),
+        ({"pursuer": {"name": "continuous", "review_dt": None}}, "'>' not supported"),
+        ({"evader": {"name": "equilibrium", "thetas": 5}}, "'int' object is not iterable"),
+        ({"evader": {"name": "equilibrium", "thetas": [1.9, -1]}},
+         "thetas must be +1/-1 integers, got (1.9, -1)"),
+        ({"nu": [0.7]}, "float() argument must be"),
+        ({"x_p0": [None, 0]}, "float() argument must be"),
+        ({"x_p0": [1]}, "x_p0 must be a pair [x, y], got [1]"),
+        ({"phi": "hinge"}, "phi must be an object with a 'kind' key"),
+    ], ids=["leg", "legs", "review_dt_str", "review_dt_null", "thetas_int", "thetas_float",
+            "nu_list", "x_p0_null", "x_p0_short", "phi_str"])
+    def test_malformed_config_value_is_config_error(self, overrides, message, config_json,
+                                                    capsys):
+        path = config_json(default_config_payload(**overrides))
+        code, out, err = run_cli("simulate", "--config", path, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: {message}")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_event_budget_is_config_error(self, config_json, capsys):
         payload = default_config_payload(
@@ -200,6 +227,11 @@ class TestValueGrid:
                                "--tau-min", "0", "--tau-max", "1",
                                "--out", out, capsys=capsys)
         assert code == 2 and "below min" in err
+        for flag, value in [("--rho-steps", "0"), ("--r-cap", "0"), ("--rho-min", "-1"),
+                            ("--ell", "-1")]:
+            code, stdout, err = run_cli(*base, flag, value, capsys=capsys)
+            assert code == 2 and stdout == "" and err.startswith("error: "), flag
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, value", [
         ("--tau-max", "nan"), ("--rho-max", "inf"), ("--rho-min", "nan"),
@@ -282,14 +314,15 @@ class TestDegradation:
         assert err.startswith("error: degradation floor violated")
         assert not out.exists()
 
-    def test_bad_nu_list(self, tmp_path, capsys):
-        out = str(tmp_path / "deg.csv")
-        code, _, err = run_cli("degradation", "--nu", "0.5,oops", "--out", out,
-                               capsys=capsys)
-        assert code == 2
-        code, _, err = run_cli("degradation", "--nu", "1.5", "--out", out,
-                               capsys=capsys)
-        assert code == 2
+    @pytest.mark.parametrize("argv", [
+        ("--nu", "0.5,oops"), ("--nu", "1.5"), ("--nu", ","),
+        ("--nu", "0.7", "--r-cap", "6"), ("--nu", "0.7", "--tf-frac", "0"),
+    ], ids=["nu_not_a_number", "nu_above_1", "nu_empty", "r_cap_above_rho0", "tf_frac_0"])
+    def test_bad_arguments(self, argv, tmp_path, capsys):
+        out = tmp_path / "deg.csv"
+        code, stdout, err = run_cli("degradation", *argv, "--out", str(out), capsys=capsys)
+        assert code == 2 and stdout == "" and err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestVerify:

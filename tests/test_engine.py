@@ -52,6 +52,16 @@ from intermittent_pursuit import (
 from conftest import CrookedHeading, Speeder, make_config
 
 
+class Fixed:
+    """Stub pursuer that returns one action at every query."""
+
+    def __init__(self, action):
+        self.action = action
+
+    def act(self, info):
+        return self.action
+
+
 class TestSegmentsAndTrajectories:
     def test_segment_positions(self):
         seg = Segment(1.0, 3.0, Vec2(0.0, 0.0), Vec2(0.5, -0.5))
@@ -281,6 +291,24 @@ class TestSimulate:
             simulate(cfg, CrookedHeading(), RadialEvader())
         with pytest.raises(ValueError, match="exceeds"):
             simulate(cfg, ArrivalSensingPursuer(), Speeder())
+
+    @pytest.mark.parametrize("pursuer, evader, max_events, error, match", [
+        (Fixed(PursuerAction(Vec2(1.0, 0.0), 1.5)), RadialEvader(), 200_000, ValueError,
+         r"speed_fraction must lie in \[0, 1\], got 1.5"),
+        (Fixed(PursuerAction(None, 1.0)), RadialEvader(), 200_000, ValueError,
+         "moving action needs a heading vector, got None"),
+        (ArrivalSensingPursuer(), Speeder((0.1, 0.0)), 200_000, ValueError,
+         r"evader velocity must be a Vec2, got \(0.1, 0.0\)"),
+        (Fixed(PursuerAction(None, 0.0, review_at=math.nan)), RadialEvader(), 200_000,
+         ValueError, "review_at must be a finite time or None, got nan"),
+        # no review_dt, so only the in-loop count can stop the sixth event
+        (Fixed(PursuerAction(None, 0.0)),
+         ScriptedEvader([(0.1 * k, Vec2(0.0, 0.0)) for k in range(1, 11)]), 5, RuntimeError,
+         "event budget 5 exhausted at t=0.5"),
+    ], ids=["speed_fraction", "no_heading", "tuple_velocity", "nan_review", "budget_in_loop"])
+    def test_engine_rejects(self, pursuer, evader, max_events, error, match):
+        with pytest.raises(error, match=match):
+            simulate(make_config(rho0=2.0, t_f=5.0, n=0), pursuer, evader, max_events=max_events)
 
     def test_event_budget(self):
         cfg = make_config(rho0=3.0, t_f=3.0, n=0)

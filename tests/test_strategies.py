@@ -27,6 +27,7 @@ from intermittent_pursuit import (
     WaitingPursuer,
     build_evader,
     build_pursuer,
+    perpendicular,
     reach_factor,
     sensing_delay,
     simulate,
@@ -35,6 +36,7 @@ from intermittent_pursuit import (
     trigger_coefficient,
     value_bound,
 )
+from intermittent_pursuit.strategies import _min_distance_linear
 from conftest import make_config
 
 
@@ -281,6 +283,8 @@ class TestEvaders:
             EquilibriumEvader(()).act(evader_info(cfg))
         with pytest.raises(ValueError):
             EquilibriumEvader((1, 0, -1))
+        with pytest.raises(ValueError, match="integers"):
+            EquilibriumEvader((1, True))  # bool is not int here, as for GameConfig.n
 
     def test_safe_heuristic_requires_slack_region(self):
         cfg = make_config(rho0=1.0, t_f=2.0, n=0)
@@ -291,6 +295,20 @@ class TestEvaders:
         cfg = make_config(rho0=0.16, t_f=2.0, n=0)
         action = CaptureAvoidingEvader().act(evader_info(cfg))
         assert action.velocity.norm() == pytest.approx(cfg.nu, rel=1e-12)
+
+    def test_safe_heuristic_dodges_when_clear_and_backs_off_when_not(self):
+        cfg = make_config(rho0=0.16, t_f=2.0, n=0)  # slack region, pursuer walks +x to the fix
+        evader = CaptureAvoidingEvader()
+        clear = evader.act(evader_info(cfg, own=Vec2(0.16, 1.0)))
+        assert clear.velocity == perpendicular(Vec2(1.0, 0.0), 1) * cfg.nu
+        assert clear.review_at == 0.02
+        # at the fix itself, dodging passes within r_cap + margin of the walk
+        close = evader.act(evader_info(cfg, t=0.05, pursuer=Vec2(0.05, 0.0)))
+        assert close.velocity == Vec2(cfg.nu, 0.0)
+        assert close.review_at == 0.07
+
+    def test_closest_approach_without_relative_motion(self):
+        assert _min_distance_linear(Vec2(3.0, 4.0), Vec2(0.0, 0.0), 2.0) == 5.0
 
     def test_scripted_replay_and_tail(self):
         cfg = make_config()
