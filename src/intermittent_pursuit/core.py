@@ -159,10 +159,20 @@ class PayoffSpec:
         return excess * excess
 
 
+def _number(value, key: str) -> float:
+    """A config-file number as a float; a bool, string, null, container or huge int is an error."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} is too large for a float") from None
+
+
 def _vec_from(value, key: str) -> Vec2:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ValueError(f"{key} must be a pair [x, y], got {value!r}")
-    return Vec2(float(value[0]), float(value[1]))
+    return Vec2(_number(value[0], f"{key}[0]"), _number(value[1], f"{key}[1]"))
 
 
 _CONFIG_KEYS = ("nu", "r_cap", "x_p0", "x_e0", "t_f", "n", "phi", "seed")
@@ -225,13 +235,13 @@ class GameConfig:
         extra = sorted(set(phi_obj) - {"kind"})
         if extra:
             raise ValueError(f"unknown phi keys: {extra}")
-        r_cap = float(data["r_cap"])
+        r_cap = _number(data["r_cap"], "r_cap")
         return cls(
-            nu=float(data["nu"]),
+            nu=_number(data["nu"], "nu"),
             r_cap=r_cap,
             x_p0=_vec_from(data["x_p0"], "x_p0"),
             x_e0=_vec_from(data["x_e0"], "x_e0"),
-            t_f=float(data["t_f"]),
+            t_f=_number(data["t_f"], "t_f"),
             n=data["n"],
             phi=PayoffSpec(kind=phi_obj["kind"], r_cap=r_cap),
             seed=data.get("seed", 0),

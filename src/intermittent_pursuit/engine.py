@@ -23,17 +23,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import (CHECK_TOL, ROUND_TOL, TIME_EPS, EnumerationCapError, GameConfig,
-                   PayoffSpec, Vec2, exceeds, fmt_g, write_csv)
-from .strategies import (
-    EquilibriumEvader,
-    EvaderAction,
-    EvaderInfo,
-    PursuerAction,
-    PursuerInfo,
-    SensingLog,
-    theta_stream,
-)
+from .core import (ROUND_TOL, TIME_EPS, EnumerationCapError, GameConfig, PayoffSpec, Vec2,
+                   exceeds, fmt_g, write_csv)
+from .strategies import EquilibriumEvader, EvaderInfo, PursuerInfo, SensingLog, theta_stream
 
 __all__ = [
     "Segment",
@@ -172,38 +164,22 @@ def detect_capture(p_seg: Segment, e_seg: Segment, r_cap: float) -> Optional[flo
     return None if s is None else t0 + s
 
 
-_STILL = Vec2(0.0, 0.0)
+def _velocity(action, cap: float, role: str) -> Vec2:
+    """The action's velocity, after the one check both players' actions get.
 
-
-def _pursuer_velocity(action: PursuerAction) -> Vec2:
-    gamma = action.speed_fraction
-    if not (isinstance(gamma, (int, float)) and 0.0 <= gamma <= 1.0):
-        raise ValueError(f"speed_fraction must lie in [0, 1], got {gamma!r}")
-    if gamma == 0.0:
-        return _STILL
-    heading = action.heading
-    if not isinstance(heading, Vec2):
-        raise ValueError(f"moving action needs a heading vector, got {heading!r}")
-    if not abs(heading.norm() - 1.0) <= CHECK_TOL:  # NaN fails too
-        raise ValueError(f"heading must be a unit vector, norm {heading.norm()}")
-    return heading if gamma == 1.0 else heading * float(gamma)  # x * 1.0 == x, -0.0 too
-
-
-def _evader_velocity(action: EvaderAction, config: GameConfig) -> Vec2:
-    velocity = action.velocity
-    if not isinstance(velocity, Vec2):
-        raise ValueError(f"evader velocity must be a Vec2, got {velocity!r}")
-    if exceeds(velocity.norm(), config.nu):
-        raise ValueError(
-            f"evader speed {velocity.norm()} exceeds the cap {config.nu}"
-        )
-    return velocity
-
-
-def _check_review(review_at):
+    Both players command a ``Vec2`` velocity whose speed must not exceed
+    their cap (1 for the pursuer, nu for the evader); NaN and infinity fail.
+    """
+    review_at = action.review_at
     if review_at is not None and not (isinstance(review_at, (int, float))
                                       and math.isfinite(review_at)):
         raise ValueError(f"review_at must be a finite time or None, got {review_at!r}")
+    velocity = action.velocity
+    if not isinstance(velocity, Vec2):
+        raise ValueError(f"{role} velocity must be a Vec2, got {velocity!r}")
+    if exceeds(velocity.norm(), cap):
+        raise ValueError(f"{role} speed {velocity.norm()} exceeds the cap {cap}")
+    return velocity
 
 
 def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact):
@@ -247,13 +223,11 @@ def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact):
         while p_action.sense_now:
             log = log.record(t, x_e, x_p)
             p_action = pursuer.act(PursuerInfo(t, x_p, log, config, live))
-        _check_review(p_action.review_at)
-        v_p = _pursuer_velocity(p_action)
+        v_p = _velocity(p_action, 1.0, "pursuer")
 
         e_info = EvaderInfo(t, x_e, x_p, log, config)
         e_action = evader.act(e_info)
-        _check_review(e_action.review_at)
-        v_e = _evader_velocity(e_action, config)
+        v_e = _velocity(e_action, config.nu, "evader")
 
         t_next = config.t_f
         for review in (p_action.review_at, e_action.review_at):
@@ -290,8 +264,8 @@ def simulate(config: GameConfig, pursuer, evader, max_events: int = 200_000) -> 
 
     ``pursuer`` and ``evader`` are strategy objects (see strategies module).
     Raises BudgetViolationError if the pursuer senses beyond its budget, and
-    ValueError on malformed actions (non-unit or non-finite headings,
-    over-cap or non-finite evader velocities).
+    ValueError on a malformed action: a velocity that is not a ``Vec2``, or
+    whose speed is non-finite or above the player's cap.
     """
     def first_contact(t, t_next, px, py, vpx, vpy, ex, ey, vex, vey):
         s = _capture_root(px, py, vpx, vpy, ex, ey, vex, vey, config.r_cap, t_next - t)

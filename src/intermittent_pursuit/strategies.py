@@ -1,9 +1,13 @@
 """Pursuer and evader policies as pure decision functions over information sets.
 
 A strategy is any object with ``act(info) -> action``.  The engine queries
-strategies only at event times; an action holds a constant velocity command
-plus an optional absolute ``review_at`` time at which the strategy wants to
-be queried again.  Strategies must be pure functions of the info object:
+strategies only at event times.  Both action types hold a constant
+``velocity`` (a ``Vec2``; the default, zero, parks) plus an optional
+absolute ``review_at`` time at which the strategy wants to be queried
+again; a ``PursuerAction`` also carries ``sense_now``.  The engine checks
+every action with one rule: the speed must not exceed the player's cap, 1
+for the pursuer and nu for the evader, up to ``ROUND_TOL`` (NaN and
+infinity fail).  Strategies must be pure functions of the info object:
 re-querying with the same info must return the same action, which is what
 makes event-driven simulation, replay, and exact enumeration sound.
 
@@ -23,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import (CHECK_TOL, BudgetViolationError, GameConfig, RegionNotCoveredError, Vec2,
-                   _vec_from, before, line_of_sight, perpendicular)
+                   _number, _vec_from, before, line_of_sight, perpendicular)
 from .value import holds_at_fix, in_loose_region, sensing_delay, trigger_coefficient
 
 __all__ = [
@@ -112,23 +116,35 @@ class EvaderInfo(NamedTuple):
     config: GameConfig
 
 
-class PursuerAction(NamedTuple):
-    """Constant-velocity command: unit ``heading`` scaled by ``speed_fraction``.
+_STILL = Vec2(0.0, 0.0)
 
-    ``heading`` may be None when parked (speed_fraction 0).  ``sense_now``
-    asks the engine to spend one budget unit immediately and re-query.
-    ``review_at`` is an absolute time; None means no self-scheduled event.
+
+class PursuerAction(NamedTuple):
+    """Constant ``velocity`` of speed at most 1; the default parks.
+
+    ``sense_now`` asks the engine to spend one budget unit immediately and
+    re-query.  ``review_at`` is an absolute time; None means no
+    self-scheduled event.
     """
 
-    heading: Optional[Vec2]
-    speed_fraction: float
+    velocity: Vec2 = _STILL
     sense_now: bool = False
     review_at: Optional[float] = None
 
 
 class EvaderAction(NamedTuple):
-    velocity: Vec2
+    """Constant ``velocity`` of speed at most nu; the default stands still."""
+
+    velocity: Vec2 = _STILL
     review_at: Optional[float] = None
+
+
+def _review_dt(value) -> float:
+    """A strategy's review interval from its parameter: a positive number."""
+    review_dt = _number(value, "review_dt")
+    if not review_dt > 0:
+        raise ValueError(f"review_dt must be positive, got {value!r}")
+    return review_dt
 
 
 class ContinuousPursuer:
@@ -143,15 +159,13 @@ class ContinuousPursuer:
     continuous_observation = True
 
     def __init__(self, review_dt: float = 0.01):
-        if not review_dt > 0:
-            raise ValueError(f"review_dt must be positive, got {review_dt}")
-        self.review_dt = review_dt
+        self.review_dt = _review_dt(review_dt)
 
     def act(self, info: PursuerInfo) -> PursuerAction:
         if info.evader is None:
             raise ValueError("continuous pursuer queried without a live evader position")
-        heading = line_of_sight(info.own, info.evader)
-        return PursuerAction(heading, 1.0, review_at=info.time + self.review_dt)
+        return PursuerAction(line_of_sight(info.own, info.evader),
+                             review_at=info.time + self.review_dt)
 
 
 class ArrivalSensingPursuer:
@@ -169,18 +183,17 @@ class ArrivalSensingPursuer:
         cfg = info.config
         if cfg.nu * rho <= cfg.r_cap:
             # Endgame: the evader cannot escape the capture disc of this ray.
-            return PursuerAction(line_of_sight(anchor_p, anchor_e), 1.0)
+            return PursuerAction(line_of_sight(anchor_p, anchor_e))
         remaining = info.own.dist(anchor_e)
         if remaining > CHECK_TOL:
-            return PursuerAction(
-                line_of_sight(info.own, anchor_e), 1.0, review_at=info.time + remaining
-            )
+            return PursuerAction(line_of_sight(info.own, anchor_e),
+                                 review_at=info.time + remaining)
         t_sense = self._sense_at(info, anchor_t, rho)
         if before(info.time, t_sense):
-            return PursuerAction(None, 0.0, review_at=t_sense)
+            return PursuerAction(review_at=t_sense)
         if info.log.budget_remaining > 0:
-            return PursuerAction(None, 0.0, sense_now=True)
-        return PursuerAction(None, 0.0)  # budget exhausted: park at the fix
+            return PursuerAction(sense_now=True)
+        return PursuerAction()  # budget exhausted: park at the fix
 
     def _sense_at(self, info: PursuerInfo, anchor_t: float, rho: float) -> float:
         """When to sense once parked at the fix; ``before(t, t)`` is False, so at once."""
@@ -225,11 +238,11 @@ class SelfTriggeredPursuer:
         cfg = info.config
         heading = line_of_sight(anchor_p, anchor_e)
         if info.log.budget_remaining == 0:
-            return PursuerAction(heading, 1.0)
+            return PursuerAction(heading)
         t_next = anchor_t + trigger_coefficient(cfg.nu) * rho
         if not before(info.time, t_next):
-            return PursuerAction(heading, 1.0, sense_now=True)
-        return PursuerAction(heading, 1.0, review_at=t_next)
+            return PursuerAction(heading, sense_now=True)
+        return PursuerAction(heading, review_at=t_next)
 
 
 class RadialEvader:
@@ -241,9 +254,7 @@ class RadialEvader:
     """
 
     def __init__(self, review_dt: float = 0.1):
-        if not review_dt > 0:
-            raise ValueError(f"review_dt must be positive, got {review_dt}")
-        self.review_dt = review_dt
+        self.review_dt = _review_dt(review_dt)
 
     def act(self, info: EvaderInfo) -> EvaderAction:
         away = line_of_sight(info.pursuer, info.own)
@@ -289,10 +300,8 @@ class EquilibriumEvader:
 
 
 def _min_distance_linear(offset: Vec2, rel_velocity: Vec2, duration: float) -> float:
-    """Minimum of |offset + s * rel_velocity| over s in [0, duration]."""
+    """Minimum of |offset + s * rel_velocity| over s in [0, duration]; rel_velocity != 0."""
     speed_sq = rel_velocity.dot(rel_velocity)
-    if speed_sq == 0.0 or duration <= 0.0:
-        return offset.norm()
     s = min(max(-offset.dot(rel_velocity) / speed_sq, 0.0), duration)
     return (offset + rel_velocity * s).norm()
 
@@ -310,15 +319,13 @@ class CaptureAvoidingEvader:
     """
 
     def __init__(self, margin: float = 0.02, review_dt: float = 0.02, orientation: int = 1):
-        if margin < 0:
+        self.margin = _number(margin, "margin")
+        if not self.margin >= 0:
             raise ValueError(f"margin must be nonnegative, got {margin}")
-        if not review_dt > 0:
-            raise ValueError(f"review_dt must be positive, got {review_dt}")
-        if orientation not in (1, -1):
+        self.review_dt = _review_dt(review_dt)
+        self.orientation = _number(orientation, "orientation")
+        if self.orientation not in (1, -1):
             raise ValueError(f"orientation must be +1 or -1, got {orientation!r}")
-        self.margin = margin
-        self.review_dt = review_dt
-        self.orientation = orientation
 
     def act(self, info: EvaderInfo) -> EvaderAction:
         cfg = info.config
@@ -360,17 +367,15 @@ class ScriptedEvader:
     """Replay an explicit list of (end_time, velocity) legs, then stand still.
 
     Used for deviation sweeps and regression scenarios.  A script is written
-    before it meets a config, so the engine checks its speeds against the
-    evader cap when it plays.  Config name: ``scripted``.
+    before it meets a config, so the engine checks each leg's velocity (a
+    ``Vec2`` within the evader cap) when it plays.  Config name: ``scripted``.
     """
 
     def __init__(self, legs: Sequence[tuple[float, Vec2]]):
         parsed = []
         last_end = 0.0
         for t_end, velocity in legs:
-            t_end = float(t_end)
-            if not isinstance(velocity, Vec2):
-                raise ValueError(f"leg velocity must be a Vec2, got {velocity!r}")
+            t_end = _number(t_end, "leg end time")
             if not (math.isfinite(t_end) and t_end > last_end):
                 raise ValueError(f"leg end times must be positive and increasing, got {t_end}")
             parsed.append((t_end, velocity))
@@ -381,7 +386,7 @@ class ScriptedEvader:
         for t_end, velocity in self.legs:
             if info.time < t_end:
                 return EvaderAction(velocity, review_at=t_end)
-        return EvaderAction(Vec2(0.0, 0.0))
+        return EvaderAction()
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

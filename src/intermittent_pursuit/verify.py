@@ -121,10 +121,10 @@ class EndpointDeviationPursuer:
         offset = bearing * self.alpha1 + perpendicular(bearing, 1) * self.alpha2
         length = offset.norm()
         if length == 0.0:
-            return PursuerAction(None, 0.0)
+            return PursuerAction()
         if exceeds(length, cfg.t_f):
             raise ValueError(f"endpoint offset {length} is beyond reach {cfg.t_f}")
-        return PursuerAction(offset * (1.0 / length), min(length / cfg.t_f, 1.0))
+        return PursuerAction(offset * (1.0 / length) * min(length / cfg.t_f, 1.0))
 
 
 class EarlyWaitPursuer(WaitingPursuer):
@@ -145,16 +145,14 @@ class EarlyWaitPursuer(WaitingPursuer):
         if len(info.log.times) > 1 or info.log.budget_remaining == 0:
             return super().act(info)
         if not before(info.time, self.sense_time):
-            return PursuerAction(None, 0.0, sense_now=True)
+            return PursuerAction(sense_now=True)
         _, anchor_e, _, _ = info.log.anchor()
         remaining = info.own.dist(anchor_e)
         if remaining > CHECK_TOL:
             arrive = info.time + remaining
-            return PursuerAction(
-                line_of_sight(info.own, anchor_e), 1.0,
-                review_at=min(arrive, self.sense_time),
-            )
-        return PursuerAction(None, 0.0, review_at=self.sense_time)
+            return PursuerAction(line_of_sight(info.own, anchor_e),
+                                 review_at=min(arrive, self.sense_time))
+        return PursuerAction(review_at=self.sense_time)
 
 
 class FirstLegDeviationPursuer(WaitingPursuer):
@@ -183,13 +181,13 @@ class FirstLegDeviationPursuer(WaitingPursuer):
         t_sense = sensing_delay(cfg.nu, ell, cfg.t_f)
         if before(info.time, walk_end) and self.gamma > 0.0:
             bearing = line_of_sight(cfg.x_p0, cfg.x_e0)
-            return PursuerAction(_rotated(bearing, self.angle), self.gamma,
+            return PursuerAction(_rotated(bearing, self.angle) * self.gamma,
                                  review_at=walk_end)
         if ell == 0:
-            return PursuerAction(None, 0.0)
+            return PursuerAction()
         if before(info.time, t_sense):
-            return PursuerAction(None, 0.0, review_at=t_sense)
-        return PursuerAction(None, 0.0, sense_now=True)
+            return PursuerAction(review_at=t_sense)
+        return PursuerAction(sense_now=True)
 
 
 def random_piecewise_evader(config: GameConfig, rng: np.random.Generator) -> ScriptedEvader:

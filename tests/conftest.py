@@ -37,13 +37,13 @@ def make_config(
 
 
 class CrookedHeading:
-    """Malformed pursuer: full speed along a heading of norm 2, or the one given."""
+    """Malformed pursuer: a velocity of norm 2, above the cap 1, or the one given."""
 
     def __init__(self, heading: Vec2 = Vec2(2.0, 0.0)):
         self.heading = heading
 
     def act(self, info):
-        return PursuerAction(self.heading, 1.0)
+        return PursuerAction(self.heading)
 
 
 class Speeder:

@@ -146,17 +146,31 @@ class TestSimulate:
         ({"evader": {"name": "scripted", "legs": [[1, 5]]}},
          "leg velocity must be a pair [x, y], got 5"),
         ({"evader": {"name": "scripted", "legs": 3}}, "'int' object is not iterable"),
-        ({"evader": {"name": "radial", "review_dt": "0.1"}}, "'>' not supported"),
-        ({"pursuer": {"name": "continuous", "review_dt": None}}, "'>' not supported"),
+        ({"evader": {"name": "radial", "review_dt": "0.1"}},
+         "review_dt must be a number, got '0.1'"),
+        ({"pursuer": {"name": "continuous", "review_dt": None}},
+         "review_dt must be a number, got None"),
         ({"evader": {"name": "equilibrium", "thetas": 5}}, "'int' object is not iterable"),
         ({"evader": {"name": "equilibrium", "thetas": [1.9, -1]}},
          "thetas must be +1/-1 integers, got (1.9, -1)"),
-        ({"nu": [0.7]}, "float() argument must be"),
-        ({"x_p0": [None, 0]}, "float() argument must be"),
+        ({"nu": [0.7]}, "nu must be a number, got [0.7]"),
+        ({"x_p0": [None, 0]}, "x_p0[0] must be a number, got None"),
         ({"x_p0": [1]}, "x_p0 must be a pair [x, y], got [1]"),
         ({"phi": "hinge"}, "phi must be an object with a 'kind' key"),
+        # JSON types that float() or a bare comparison would accept (true as 1.0)
+        ({"nu": "0.7"}, "nu must be a number, got '0.7'"),
+        ({"t_f": True}, "t_f must be a number, got True"),
+        ({"x_e0": ["1", 0]}, "x_e0[0] must be a number, got '1'"),
+        ({"evader": {"name": "radial", "review_dt": True}},
+         "review_dt must be a number, got True"),
+        ({"evader": {"name": "safe_heuristic", "orientation": True}},
+         "orientation must be a number, got True"),
+        ({"evader": {"name": "scripted", "legs": [["1", [0, 0]]]}},
+         "leg end time must be a number, got '1'"),
+        ({"t_f": 10 ** 400}, "t_f is too large for a float"),  # float() overflows
     ], ids=["leg", "legs", "review_dt_str", "review_dt_null", "thetas_int", "thetas_float",
-            "nu_list", "x_p0_null", "x_p0_short", "phi_str"])
+            "nu_list", "x_p0_null", "x_p0_short", "phi_str", "nu_str", "t_f_bool",
+            "x_e0_str", "review_dt_bool", "orientation_bool", "leg_end_str", "t_f_huge"])
     def test_malformed_config_value_is_config_error(self, overrides, message, config_json,
                                                     capsys):
         path = config_json(default_config_payload(**overrides))

@@ -18,6 +18,7 @@ from intermittent_pursuit import (
     EndpointDeviationPursuer,
     EnumerationCapError,
     EquilibriumEvader,
+    EvaderAction,
     FirstLegDeviationPursuer,
     GameConfig,
     Outcome,
@@ -235,7 +236,7 @@ class TestSimulate:
 
         class GreedySensor:
             def act(self, info):
-                return PursuerAction(None, 0.0, sense_now=True)
+                return PursuerAction(sense_now=True)
 
         with pytest.raises(BudgetViolationError):
             simulate(cfg, GreedySensor(), RadialEvader())
@@ -280,35 +281,66 @@ class TestSimulate:
 
         class GreedySensor:
             def act(self, info):
-                return PursuerAction(None, 0.0, sense_now=True)
+                return PursuerAction(sense_now=True)
 
         with pytest.raises(ValueError, match="strictly increasing"):
             simulate(cfg, GreedySensor(), RadialEvader())
 
     def test_malformed_actions_rejected(self):
         cfg = make_config(rho0=2.0, t_f=5.0, n=0)
-        with pytest.raises(ValueError, match="unit vector"):
+        with pytest.raises(ValueError, match="exceeds the cap"):
             simulate(cfg, CrookedHeading(), RadialEvader())
         with pytest.raises(ValueError, match="exceeds"):
             simulate(cfg, ArrivalSensingPursuer(), Speeder())
 
     @pytest.mark.parametrize("pursuer, evader, max_events, error, match", [
-        (Fixed(PursuerAction(Vec2(1.0, 0.0), 1.5)), RadialEvader(), 200_000, ValueError,
-         r"speed_fraction must lie in \[0, 1\], got 1.5"),
-        (Fixed(PursuerAction(None, 1.0)), RadialEvader(), 200_000, ValueError,
-         "moving action needs a heading vector, got None"),
+        (Fixed(PursuerAction(Vec2(1.5, 0.0))), RadialEvader(), 200_000, ValueError,
+         "pursuer speed 1.5 exceeds the cap 1.0"),
+        (Fixed(PursuerAction(None)), RadialEvader(), 200_000, ValueError,
+         "pursuer velocity must be a Vec2, got None"),
         (ArrivalSensingPursuer(), Speeder((0.1, 0.0)), 200_000, ValueError,
          r"evader velocity must be a Vec2, got \(0.1, 0.0\)"),
-        (Fixed(PursuerAction(None, 0.0, review_at=math.nan)), RadialEvader(), 200_000,
+        (Fixed(PursuerAction(review_at=math.nan)), RadialEvader(), 200_000,
          ValueError, "review_at must be a finite time or None, got nan"),
         # no review_dt, so only the in-loop count can stop the sixth event
-        (Fixed(PursuerAction(None, 0.0)),
+        (Fixed(PursuerAction()),
          ScriptedEvader([(0.1 * k, Vec2(0.0, 0.0)) for k in range(1, 11)]), 5, RuntimeError,
          "event budget 5 exhausted at t=0.5"),
     ], ids=["speed_fraction", "no_heading", "tuple_velocity", "nan_review", "budget_in_loop"])
     def test_engine_rejects(self, pursuer, evader, max_events, error, match):
         with pytest.raises(error, match=match):
             simulate(make_config(rho0=2.0, t_f=5.0, n=0), pursuer, evader, max_events=max_events)
+
+    @settings(max_examples=200)
+    @given(
+        role=st.sampled_from(("pursuer", "evader")),
+        nu=st.floats(0.05, 0.95),
+        # a multiple of the cap in [0, 2], or a few ROUND_TOL bands either side of 1
+        ratio=st.one_of(st.floats(0.0, 2.0),
+                        st.integers(-4, 4).map(lambda k: 1.0 + k * core.ROUND_TOL / 2)),
+        angle=st.floats(0.0, 2.0 * math.pi),
+        bad=st.one_of(st.none(), st.sampled_from((math.nan, math.inf, -math.inf))),
+    )
+    def test_one_speed_rule_for_both_players_property(self, role, nu, ratio, angle, bad):
+        # a player's action plays exactly when its speed does not exceed the
+        # player's cap: 1 for the pursuer, nu for the evader
+        cap = 1.0 if role == "pursuer" else nu
+        speed = ratio * cap
+        velocity = Vec2(speed * math.cos(angle), speed * math.sin(angle))
+        if bad is not None:
+            velocity = Vec2(bad, velocity.y)
+        parked = Fixed(PursuerAction())
+        pursuer, evader = ((Fixed(PursuerAction(velocity)), Fixed(EvaderAction()))
+                           if role == "pursuer" else (parked, Fixed(EvaderAction(velocity))))
+        cfg = make_config(nu=nu, rho0=2.0, t_f=1.0, n=0)
+        if core.exceeds(velocity.norm(), cap):
+            with pytest.raises(ValueError, match=f"^{role} speed .* exceeds the cap {cap}$"):
+                simulate(cfg, pursuer, evader)
+        else:
+            assert bad is None
+            result = simulate(cfg, pursuer, evader)
+            mover = getattr(result, f"{role}_trajectory")
+            assert mover.segments[0].velocity == velocity
 
     def test_event_budget(self):
         cfg = make_config(rho0=3.0, t_f=3.0, n=0)
@@ -379,8 +411,8 @@ class _SenseEachReview:
         if info.time >= self.due:
             self.due = info.time + self.dt
             self.requests += 1
-            return PursuerAction(None, 0.0, sense_now=True)
-        return PursuerAction(None, 0.0, review_at=self.due)
+            return PursuerAction(sense_now=True)
+        return PursuerAction(review_at=self.due)
 
 
 def _product_reference(config, pursuer):

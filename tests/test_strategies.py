@@ -36,7 +36,6 @@ from intermittent_pursuit import (
     trigger_coefficient,
     value_bound,
 )
-from intermittent_pursuit.strategies import _min_distance_linear
 from conftest import make_config
 
 
@@ -109,8 +108,7 @@ class TestContinuousPursuer:
         action = ContinuousPursuer(review_dt=0.5).act(
             pursuer_info(cfg, t=1.0, evader=Vec2(3.0, 0.0))
         )
-        assert action.heading == Vec2(1.0, 0.0)
-        assert action.speed_fraction == 1.0
+        assert action.velocity == Vec2(1.0, 0.0)
         assert not action.sense_now
         assert action.review_at == 1.5
 
@@ -119,8 +117,7 @@ class TestArrivalSensingPursuer:
     def test_dashes_to_fix_and_reviews_on_arrival(self):
         cfg = make_config(rho0=2.0, n=2)
         action = ArrivalSensingPursuer().act(pursuer_info(cfg))
-        assert action.heading == Vec2(1.0, 0.0)
-        assert action.speed_fraction == 1.0
+        assert action.velocity == Vec2(1.0, 0.0)
         assert action.review_at == pytest.approx(2.0, abs=1e-12)
 
     def test_senses_on_arrival(self):
@@ -128,20 +125,20 @@ class TestArrivalSensingPursuer:
         info = pursuer_info(cfg, t=2.0, own=cfg.x_e0)
         action = ArrivalSensingPursuer().act(info)
         assert action.sense_now
-        assert action.speed_fraction == 0.0
+        assert action.velocity == Vec2(0.0, 0.0)
 
     def test_parks_when_budget_gone(self):
         cfg = make_config(rho0=2.0, n=0)
         info = pursuer_info(cfg, t=2.0, own=cfg.x_e0)
         action = ArrivalSensingPursuer().act(info)
         assert not action.sense_now
-        assert action.speed_fraction == 0.0
+        assert action.velocity == Vec2(0.0, 0.0)
 
     def test_endgame_blind_dash(self):
         # nu * rho <= r_cap: no further sensing needed, run the bearing down
         cfg = make_config(rho0=0.12, n=3)
         action = ArrivalSensingPursuer().act(pursuer_info(cfg))
-        assert action.heading == Vec2(1.0, 0.0)
+        assert action.velocity == Vec2(1.0, 0.0)
         assert not action.sense_now
         assert action.review_at is None
 
@@ -159,12 +156,12 @@ class TestWaitingPursuer:
         strategy = WaitingPursuer()
 
         walk = strategy.act(pursuer_info(cfg))
-        assert walk.heading == Vec2(1.0, 0.0)
+        assert walk.velocity == Vec2(1.0, 0.0)
         assert walk.review_at == pytest.approx(1.0, abs=1e-12)
 
         t_sense = (1.0 - cfg.nu) * cfg.t_f / (1.0 - cfg.nu**3)
         at_fix = strategy.act(pursuer_info(cfg, t=1.0, own=cfg.x_e0))
-        assert at_fix.speed_fraction == 0.0
+        assert at_fix.velocity == Vec2(0.0, 0.0)
         assert at_fix.review_at == pytest.approx(t_sense, rel=1e-12)
 
         due = strategy.act(pursuer_info(cfg, t=t_sense, own=cfg.x_e0))
@@ -174,9 +171,9 @@ class TestWaitingPursuer:
         cfg = make_config(rho0=1.0, t_f=2.0, n=0)
         strategy = WaitingPursuer()
         at_fix = strategy.act(pursuer_info(cfg, t=1.0, own=cfg.x_e0))
-        assert at_fix.speed_fraction == 0.0
+        assert at_fix.velocity == Vec2(0.0, 0.0)
         later = strategy.act(pursuer_info(cfg, t=1.9, own=cfg.x_e0))
-        assert later.speed_fraction == 0.0 and not later.sense_now
+        assert later.velocity == Vec2(0.0, 0.0) and not later.sense_now
 
     def test_chases_when_time_is_short(self):
         cfg = make_config(rho0=2.0, t_f=1.0, n=2)
@@ -188,7 +185,7 @@ class TestWaitingPursuer:
         # nu^(ell+1) * rho <= r_cap: waiting is pointless, capture is bookable
         cfg = make_config(rho0=1.0, t_f=50.0, n=6)
         action = WaitingPursuer().act(pursuer_info(cfg))
-        assert action.speed_fraction == 1.0
+        assert action.velocity == Vec2(1.0, 0.0)
         assert action.review_at == pytest.approx(1.0, abs=1e-12)
 
 
@@ -225,7 +222,7 @@ def test_waiting_pursuer_holds_exactly_in_the_wait_region_property(state):
     log = SensingLog.initial(cfg).record(anchor_t, cfg.x_e0, cfg.x_p0)
     tau = cfg.t_f - anchor_t  # as the pursuer reads it
     action = WaitingPursuer().act(pursuer_info(cfg, t=anchor_t, own=cfg.x_e0, log=log))
-    holds = action.speed_fraction == 0.0 and action.review_at is not None
+    holds = action.velocity == Vec2(0.0, 0.0) and action.review_at is not None
     bound = value_bound(rho, tau, ell, cfg.phi, nu)
     assert holds == (bound.case_tag == "wait_region"), (bound, action)
     if holds:
@@ -236,7 +233,7 @@ class TestSelfTriggeredPursuer:
     def test_timer_scales_with_separation(self):
         cfg = make_config(rho0=2.0, n=5)
         action = SelfTriggeredPursuer().act(pursuer_info(cfg))
-        assert action.heading == Vec2(1.0, 0.0)
+        assert action.velocity == Vec2(1.0, 0.0)
         expected = trigger_coefficient(cfg.nu) * 2.0
         assert action.review_at == pytest.approx(expected, rel=1e-12)
 
@@ -247,12 +244,12 @@ class TestSelfTriggeredPursuer:
             pursuer_info(cfg, t=t_trig, own=Vec2(t_trig, 0.0))
         )
         assert action.sense_now
-        assert action.speed_fraction == 1.0  # keeps driving while the fix arrives
+        assert action.velocity == Vec2(1.0, 0.0)  # keeps driving while the fix arrives
 
     def test_budget_exhausted_keeps_bearing(self):
         cfg = make_config(rho0=2.0, n=0)
         action = SelfTriggeredPursuer().act(pursuer_info(cfg, t=0.3, own=Vec2(0.3, 0.0)))
-        assert action.heading == Vec2(1.0, 0.0)
+        assert action.velocity == Vec2(1.0, 0.0)
         assert not action.sense_now
         assert action.review_at is None
 
@@ -306,9 +303,6 @@ class TestEvaders:
         close = evader.act(evader_info(cfg, t=0.05, pursuer=Vec2(0.05, 0.0)))
         assert close.velocity == Vec2(cfg.nu, 0.0)
         assert close.review_at == 0.07
-
-    def test_closest_approach_without_relative_motion(self):
-        assert _min_distance_linear(Vec2(3.0, 4.0), Vec2(0.0, 0.0), 2.0) == 5.0
 
     def test_scripted_replay_and_tail(self):
         cfg = make_config()
