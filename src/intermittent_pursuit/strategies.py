@@ -26,9 +26,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import (CHECK_TOL, BudgetViolationError, GameConfig, RegionNotCoveredError, Vec2,
-                   _number, _vec_from, before, line_of_sight, perpendicular)
-from .value import holds_at_fix, in_loose_region, sensing_delay, trigger_coefficient
+from .core import (CHECK_TOL, BudgetViolationError, GameConfig, Vec2, _number, _vec_from,
+                   before, line_of_sight, perpendicular)
+from .value import holds_at_fix, sensing_delay, trigger_coefficient
 
 __all__ = [
     "SensingLog",
@@ -42,7 +42,6 @@ __all__ = [
     "SelfTriggeredPursuer",
     "RadialEvader",
     "EquilibriumEvader",
-    "CaptureAvoidingEvader",
     "ScriptedEvader",
     "trial_rng",
     "theta_stream",
@@ -299,70 +298,6 @@ class EquilibriumEvader:
         return EvaderAction(perpendicular(bearing, self.thetas[interval]) * cfg.nu)
 
 
-def _min_distance_linear(offset: Vec2, rel_velocity: Vec2, duration: float) -> float:
-    """Minimum of |offset + s * rel_velocity| over s in [0, duration]; rel_velocity != 0."""
-    speed_sq = rel_velocity.dot(rel_velocity)
-    s = min(max(-offset.dot(rel_velocity) / speed_sq, 0.0), duration)
-    return (offset + rel_velocity * s).norm()
-
-
-class CaptureAvoidingEvader:
-    """Heuristic dodger for the slack region of the zero-budget bound.
-
-    Models the pursuer as running a go-to-the-fix-and-stop leg.  While the
-    predicted closest approach of perpendicular motion against that leg
-    stays above r_cap + margin it dodges perpendicular; otherwise it backs
-    off radially from the pursuer's current position.  The radial bail-out
-    is capture-proof against the modeled leg: closing speed is at most
-    1 - nu, the leg lasts rho, so the separation never drops below
-    nu * rho > r_cap in the slack region.  Config name: ``safe_heuristic``.
-    """
-
-    def __init__(self, margin: float = 0.02, review_dt: float = 0.02, orientation: int = 1):
-        self.margin = _number(margin, "margin")
-        if not self.margin >= 0:
-            raise ValueError(f"margin must be nonnegative, got {margin}")
-        self.review_dt = _review_dt(review_dt)
-        self.orientation = _number(orientation, "orientation")
-        if self.orientation not in (1, -1):
-            raise ValueError(f"orientation must be +1 or -1, got {orientation!r}")
-
-    def act(self, info: EvaderInfo) -> EvaderAction:
-        cfg = info.config
-        anchor_t, anchor_e, anchor_p, rho = info.log.anchor()
-        tau = cfg.t_f - anchor_t
-        if len(info.log.times) == 1 and not in_loose_region(rho, tau, cfg.nu, cfg.r_cap):
-            raise RegionNotCoveredError(
-                f"dodging heuristic covers only the slack region; "
-                f"got rho={rho}, tau={tau}, nu={cfg.nu}, r_cap={cfg.r_cap}"
-            )
-        bearing = line_of_sight(anchor_p, anchor_e)
-        dodge = perpendicular(bearing, self.orientation) * cfg.nu
-        if self._closest_approach(info, anchor_e, dodge) > cfg.r_cap + self.margin:
-            velocity = dodge
-        else:
-            velocity = line_of_sight(info.pursuer, info.own) * cfg.nu
-        return EvaderAction(velocity, review_at=info.time + self.review_dt)
-
-    def _closest_approach(self, info: EvaderInfo, waypoint: Vec2, velocity: Vec2) -> float:
-        """Predicted minimum separation if we hold ``velocity`` from now on."""
-        horizon = info.config.t_f - info.time
-        leg = waypoint - info.pursuer
-        leg_len = leg.norm()
-        walk = min(leg_len, horizon)
-        worst = (info.own - info.pursuer).norm()
-        if walk > 0.0:
-            v_p = leg * (1.0 / leg_len)
-            worst = min(
-                worst,
-                _min_distance_linear(info.own - info.pursuer, velocity - v_p, walk),
-            )
-        if horizon > walk:  # pursuer parked at the fix for the rest
-            offset = (info.own + velocity * walk) - waypoint
-            worst = min(worst, _min_distance_linear(offset, velocity, horizon - walk))
-        return worst
-
-
 class ScriptedEvader:
     """Replay an explicit list of (end_time, velocity) legs, then stand still.
 
@@ -416,7 +351,6 @@ _PURSUERS = {
 _EVADERS = {
     "radial": (RadialEvader, ("review_dt",)),
     "equilibrium": (EquilibriumEvader, ("thetas",)),
-    "safe_heuristic": (CaptureAvoidingEvader, ("margin", "review_dt", "orientation")),
     "scripted": (ScriptedEvader, ("legs",)),
 }
 PURSUER_NAMES = tuple(_PURSUERS)

@@ -8,8 +8,8 @@ This module has three layers:
 * the value bound: an upper bound on the game value as a function of the
   separation ``rho`` at the last sensing, the remaining time ``tau``, and the
   remaining budget ``ell``, together with the case that produced it and a
-  tightness flag (the bound is exact everywhere except in a thin slack
-  region);
+  tightness flag (False in a thin slack region, and wrongly True at some
+  ``ell >= 1`` states next to capture: see ``ValueBound``);
 * degradation metrics: how much payoff the pursuer gives up by having only
   ``n`` sensings instead of continuous observation, and the geometric
   lower-bound coefficient for that loss.
@@ -44,7 +44,6 @@ __all__ = [
     "STAGE0_CHASE",
     "CASE_TAGS",
     "ValueBound",
-    "in_loose_region",
     "holds_at_fix",
     "value_bound",
     "matching_sense_count",
@@ -215,6 +214,12 @@ class ValueBound:
     region, where only the upper bound (not the exact value) is known.  The
     bound of a scalar query holds a Python float, str and bool; the bound of
     an array query holds arrays of the broadcast shape, element for element.
+
+    Known defect: for ``ell >= 1`` some states next to capture are flagged
+    tight, yet the coin-flip evader's guarantee falls below the bound.  With
+    r_cap = 0.1 and the hinge payoff, (rho, tau, ell, nu) =
+    (1.6384615384615386, 3.253846153846154, 3, 0.5) misses by 0.00846 and
+    (0.16188383045525906, 0.16789638932496076, 1, 0.7) by 0.0115.
     """
 
     value: float
@@ -286,7 +291,7 @@ def _bound(phi: PayoffSpec, capture, distance, conditions, tags, slack) -> Value
     return ValueBound(value, _TAG_ARRAY[codes], ~slack)
 
 
-def _in_slack(rho, tau, ell: int, nu: float, r_cap: float, reach: float = 1.0):
+def _in_slack(rho, tau, ell: int, nu: float, r_cap: float, reach: float):
     """The slack region of budget ``ell``, element for element.
 
     ell = 0: tau >= rho and r_cap < nu*rho <= sqrt(1+nu^2)*r_cap.
@@ -298,16 +303,6 @@ def _in_slack(rho, tau, ell: int, nu: float, r_cap: float, reach: float = 1.0):
         scaled = nu * rho
         return (tau >= rho) & (r_cap < scaled) & (scaled <= edge)
     return (tau >= reach * rho) & (r_cap <= rho) & (rho <= edge)
-
-
-def in_loose_region(rho: float, tau: float, nu: float, r_cap: float) -> bool:
-    """Zero-budget slack region: tau >= rho and r_cap < nu*rho <= sqrt(1+nu^2)*r_cap.
-
-    Inside it the evader is too close to dodge cleanly but too far to be
-    cornered, and the stage-0 bound is not known to be attained.
-    """
-    _check_nu(nu)
-    return _in_slack(rho, tau, 0, nu, r_cap)
 
 
 def holds_at_fix(rho, tau, ell: int, nu: float, r_cap: float):

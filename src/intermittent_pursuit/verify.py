@@ -115,8 +115,6 @@ class EndpointDeviationPursuer:
 
     def act(self, info: PursuerInfo) -> PursuerAction:
         cfg = info.config
-        if cfg.t_f <= 0:
-            raise ValueError("endpoint deviation needs a positive horizon")
         bearing = line_of_sight(cfg.x_p0, cfg.x_e0)
         offset = bearing * self.alpha1 + perpendicular(bearing, 1) * self.alpha2
         length = offset.norm()

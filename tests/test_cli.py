@@ -110,11 +110,12 @@ class TestSimulate:
         assert code == 2
         assert "JSON object" in err
 
-    def test_unknown_strategy(self, config_json, capsys):
-        path = config_json(default_config_payload(pursuer="zigzag"))
+    @pytest.mark.parametrize("role, name", [("pursuer", "zigzag"), ("evader", "safe_heuristic")])
+    def test_unknown_strategy(self, role, name, config_json, capsys):
+        path = config_json(default_config_payload(**{role: name}))
         code, _, err = run_cli("simulate", "--config", path, capsys=capsys)
         assert code == 2
-        assert "unknown pursuer" in err
+        assert f"unknown {role} {name!r}" in err
 
     def test_config_validation_error(self, config_json, capsys):
         path = config_json(default_config_payload(nu=1.5))
@@ -163,14 +164,12 @@ class TestSimulate:
         ({"x_e0": ["1", 0]}, "x_e0[0] must be a number, got '1'"),
         ({"evader": {"name": "radial", "review_dt": True}},
          "review_dt must be a number, got True"),
-        ({"evader": {"name": "safe_heuristic", "orientation": True}},
-         "orientation must be a number, got True"),
         ({"evader": {"name": "scripted", "legs": [["1", [0, 0]]]}},
          "leg end time must be a number, got '1'"),
         ({"t_f": 10 ** 400}, "t_f is too large for a float"),  # float() overflows
     ], ids=["leg", "legs", "review_dt_str", "review_dt_null", "thetas_int", "thetas_float",
             "nu_list", "x_p0_null", "x_p0_short", "phi_str", "nu_str", "t_f_bool",
-            "x_e0_str", "review_dt_bool", "orientation_bool", "leg_end_str", "t_f_huge"])
+            "x_e0_str", "review_dt_bool", "leg_end_str", "t_f_huge"])
     def test_malformed_config_value_is_config_error(self, overrides, message, config_json,
                                                     capsys):
         path = config_json(default_config_payload(**overrides))

@@ -11,7 +11,6 @@ from intermittent_pursuit import (
     ROUND_TOL,
     ArrivalSensingPursuer,
     BudgetViolationError,
-    CaptureAvoidingEvader,
     ContinuousPursuer,
     EquilibriumEvader,
     EvaderInfo,
@@ -19,7 +18,6 @@ from intermittent_pursuit import (
     PursuerInfo,
     PURSUER_NAMES,
     RadialEvader,
-    RegionNotCoveredError,
     ScriptedEvader,
     SelfTriggeredPursuer,
     SensingLog,
@@ -27,7 +25,6 @@ from intermittent_pursuit import (
     WaitingPursuer,
     build_evader,
     build_pursuer,
-    perpendicular,
     reach_factor,
     sensing_delay,
     simulate,
@@ -283,27 +280,6 @@ class TestEvaders:
         with pytest.raises(ValueError, match="integers"):
             EquilibriumEvader((1, True))  # bool is not int here, as for GameConfig.n
 
-    def test_safe_heuristic_requires_slack_region(self):
-        cfg = make_config(rho0=1.0, t_f=2.0, n=0)
-        with pytest.raises(RegionNotCoveredError):
-            CaptureAvoidingEvader().act(evader_info(cfg))
-
-    def test_safe_heuristic_moves_at_top_speed_in_region(self):
-        cfg = make_config(rho0=0.16, t_f=2.0, n=0)
-        action = CaptureAvoidingEvader().act(evader_info(cfg))
-        assert action.velocity.norm() == pytest.approx(cfg.nu, rel=1e-12)
-
-    def test_safe_heuristic_dodges_when_clear_and_backs_off_when_not(self):
-        cfg = make_config(rho0=0.16, t_f=2.0, n=0)  # slack region, pursuer walks +x to the fix
-        evader = CaptureAvoidingEvader()
-        clear = evader.act(evader_info(cfg, own=Vec2(0.16, 1.0)))
-        assert clear.velocity == perpendicular(Vec2(1.0, 0.0), 1) * cfg.nu
-        assert clear.review_at == 0.02
-        # at the fix itself, dodging passes within r_cap + margin of the walk
-        close = evader.act(evader_info(cfg, t=0.05, pursuer=Vec2(0.05, 0.0)))
-        assert close.velocity == Vec2(cfg.nu, 0.0)
-        assert close.review_at == 0.07
-
     def test_scripted_replay_and_tail(self):
         cfg = make_config()
         legs = [(1.0, Vec2(0.0, 0.5)), (2.0, Vec2(0.5, 0.0))]
@@ -350,7 +326,7 @@ class TestRandomStreams:
 class TestBuilders:
     def test_registries(self):
         assert PURSUER_NAMES == ("continuous", "prop1", "thm1", "aleem")
-        assert EVADER_NAMES == ("radial", "equilibrium", "safe_heuristic", "scripted")
+        assert EVADER_NAMES == ("radial", "equilibrium", "scripted")
 
     def test_every_name_constructs(self):
         cfg = make_config(n=2)

@@ -21,7 +21,6 @@ from intermittent_pursuit import (
     ValueBound,
     continuous_sensing_payoff,
     degradation_report,
-    in_loose_region,
     matching_sense_count,
     reach_factor,
     sense_count_arrival,
@@ -218,7 +217,6 @@ class TestStage0Bound:
     def test_slack_case_not_tight(self):
         nu = 0.7
         rho = 0.16  # nu*rho = 0.112 in (0.1, 0.1*sqrt(1.49) = 0.12207]
-        assert in_loose_region(rho, 1.0, nu, 0.1)
         b = value_bound(rho, 1.0, 0, HINGE, nu)
         assert b.case_tag == "stage0_case2b"
         assert not b.is_tight
