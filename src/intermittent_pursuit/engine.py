@@ -85,13 +85,16 @@ class Trajectory:
 
 @dataclass(frozen=True, slots=True)
 class Outcome:
-    """Terminal result of one game."""
+    """Terminal result of one game; ``capture_time`` is None when the evader escapes."""
 
-    captured: bool
     capture_time: Optional[float]
     final_distance: float
     payoff: float
     sensing_times: tuple[float, ...]
+
+    @property
+    def captured(self) -> bool:
+        return self.capture_time is not None
 
     def to_json_dict(self) -> dict:
         return {
@@ -205,13 +208,10 @@ def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact):
     e_segments: list[Segment] = []
     continuous = bool(getattr(pursuer, "continuous_observation", False))
 
-    captured = False
-    capture_time: Optional[float] = None
-    if math.hypot(px - ex, py - ey) <= config.r_cap:
-        captured, capture_time = True, 0.0
+    capture_time = 0.0 if math.hypot(px - ex, py - ey) <= config.r_cap else None
 
     events = 0
-    while not captured and t < config.t_f - TIME_EPS:
+    while capture_time is None and t < config.t_f - TIME_EPS:
         events += 1
         if events > max_events:
             raise RuntimeError(f"event budget {max_events} exhausted at t={t}")
@@ -237,8 +237,7 @@ def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact):
         vpx, vpy, vex, vey = v_p.x, v_p.y, v_e.x, v_e.y
         t_hit = first_contact(t, t_next, px, py, vpx, vpy, ex, ey, vex, vey)
         if t_hit is not None:
-            t_next = t_hit
-            captured, capture_time = True, t_next
+            t_next = capture_time = t_hit
         if t_next > t:
             p_segments.append(Segment(t, t_next, x_p, v_p))
             e_segments.append(Segment(t, t_next, x_e, v_e))
@@ -250,10 +249,9 @@ def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact):
 
     final_distance = math.hypot(px - ex, py - ey)
     outcome = Outcome(
-        captured=captured,
         capture_time=capture_time,
         final_distance=final_distance,
-        payoff=payoff_of(config.phi, captured, final_distance),
+        payoff=payoff_of(config.phi, capture_time is not None, final_distance),
         sensing_times=log.times[1:],
     )
     return outcome, log, p_segments, e_segments

@@ -276,9 +276,10 @@ class EquilibriumEvader:
     """
 
     def __init__(self, thetas: Sequence[int]):
-        thetas = tuple(thetas)
-        if any(type(t) is not int or t not in (1, -1) for t in thetas):
-            raise ValueError(f"thetas must be +1/-1 integers, got {thetas}")
+        if not isinstance(thetas, _LazyThetas):
+            thetas = tuple(thetas)
+            if any(type(t) is not int or t not in (1, -1) for t in thetas):
+                raise ValueError(f"thetas must be +1/-1 integers, got {thetas}")
         self.thetas = thetas
 
     def act(self, info: EvaderInfo) -> EvaderAction:
@@ -341,6 +342,23 @@ def theta_stream(seed: int, trial: int, length: int) -> tuple[int, ...]:
     return tuple(int(x) for x in rng.choice((-1, 1), size=length))
 
 
+class _LazyThetas:
+    """``theta_stream(seed, trial, length)``, each entry drawn when first read."""
+
+    def __init__(self, seed: int, trial: int, length: int):
+        self._rng, self._drawn, self._length = trial_rng(seed, trial), [], length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, k: int) -> int:
+        if not 0 <= k < self._length:
+            raise IndexError(k)
+        while len(self._drawn) <= k:  # one draw at a time gives the bulk draw's values
+            self._drawn.append(int(self._rng.choice((-1, 1))))
+        return self._drawn[k]
+
+
 # Config name -> (class, allowed parameter keys).
 _PURSUERS = {
     "continuous": (ContinuousPursuer, ("review_dt",)),
@@ -387,14 +405,14 @@ def build_pursuer(selector, config: GameConfig):
 def build_evader(selector, config: GameConfig):
     """Construct an evader strategy from its config-file name or object.
 
-    The equilibrium evader draws its orientation stream from the config seed
-    (trial 0) unless an explicit ``thetas`` list is supplied.
+    The equilibrium evader draws each orientation from the config seed
+    (trial 0) when the game first reads it, unless ``thetas`` lists them.
     """
     cls, params = _lookup(selector, "evader", _EVADERS)
     if cls is EquilibriumEvader:
         thetas = params.get("thetas")
         if thetas is None:
-            thetas = theta_stream(config.seed, 0, config.n + 1)
+            thetas = _LazyThetas(config.seed, 0, config.n + 1)
         return EquilibriumEvader(thetas)
     if cls is ScriptedEvader:
         if "legs" not in params:

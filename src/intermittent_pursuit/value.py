@@ -419,10 +419,13 @@ class DegradationReport:
     the final continuous-sensing separation is zero (beta undefined).
     """
 
-    n_star: int
     deltas: tuple[float, ...]
     betas: tuple[float, ...]
     continuous_payoff: float
+
+    @property
+    def n_star(self) -> int:
+        return len(self.deltas) - 1
 
     def __post_init__(self):
         if self.betas and len(self.betas) != len(self.deltas):
@@ -465,9 +468,4 @@ def degradation_report(rho0: float, t_f: float, nu: float, phi: PayoffSpec) -> D
                     f"internal: wait-form delta {direct} disagrees with "
                     f"value-bound delta {delta} at n={n}"
                 )
-    return DegradationReport(
-        n_star=n_star,
-        deltas=tuple(deltas),
-        betas=tuple(betas),
-        continuous_payoff=payoff_continuous,
-    )
+    return DegradationReport(tuple(deltas), tuple(betas), payoff_continuous)

@@ -58,41 +58,37 @@ _MAX_LEGS = 5
 
 @dataclass(frozen=True, slots=True)
 class VerificationReport:
-    """Outcome of one verification suite; a trial fails past ``tolerance`` (``CHECK_TOL``)."""
+    """Outcome of one verification suite; a trial fails past ``tolerance`` (``CHECK_TOL``).
+
+    ``failures`` holds every failure found; the JSON lists the first twelve
+    and then "... and N more".
+    """
+
+    tolerance = CHECK_TOL
 
     suite: str
     trials: int
-    tolerance: float
     worst_violation: float
     failures: tuple[str, ...]
-    passed: bool
     notes: tuple[str, ...] = ()
 
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
     def to_json_dict(self) -> dict:
+        failures = list(self.failures)
+        if len(failures) > 12:
+            failures = failures[:12] + [f"... and {len(failures) - 12} more"]
         return {
             "suite": self.suite,
             "trials": self.trials,
             "tolerance": self.tolerance,
             "worst_violation": self.worst_violation,
-            "failures": list(self.failures),
+            "failures": failures,
             "passed": self.passed,
             "notes": list(self.notes),
         }
-
-
-def _finish_report(suite, trials, worst, failures, notes) -> VerificationReport:
-    """Build a report; failures past the twelfth are kept only as a count."""
-    if len(failures) > 12:
-        failures = failures[:12] + [f"... and {len(failures) - 12} more"]
-    return VerificationReport(
-        suite=suite,
-        trials=trials,
-        tolerance=CHECK_TOL,
-        worst_violation=worst,
-        failures=tuple(failures),
-        passed=not failures,
-        notes=tuple(notes),
-    )
 
 
 def _rotated(v: Vec2, angle: float) -> Vec2:
@@ -264,7 +260,7 @@ def pursuer_guarantee_check(
         f"bound {bound.value:.12g} ({bound.case_tag}, tight={bound.is_tight})",
         f"worst payoff {worst + bound.value:.12g}",
     ]
-    return _finish_report("pursuer", len(entries), worst, failures, notes)
+    return VerificationReport("pursuer", len(entries), worst, tuple(failures), tuple(notes))
 
 
 def evader_guarantee_check(config: Optional[GameConfig] = None) -> VerificationReport:
@@ -287,7 +283,7 @@ def evader_guarantee_check(config: Optional[GameConfig] = None) -> VerificationR
     notes = [f"bound {bound.value:.12g} ({bound.case_tag}, tight={bound.is_tight})"]
     if not bound.is_tight:
         notes.append("bound is not tight at this state; evader guarantee not claimed, skipping")
-        return _finish_report("evader", 0, 0.0, [], notes)
+        return VerificationReport("evader", 0, 0.0, (), tuple(notes))
 
     deviations: list[tuple[str, object]] = []
     skipped = 0
@@ -341,7 +337,7 @@ def evader_guarantee_check(config: Optional[GameConfig] = None) -> VerificationR
         notes.append(f"prescribed pursuer E[payoff] - bound = {prescribed_gap:.3g}")
     if skipped:
         notes.append(f"{skipped} grid points beyond the pursuer's reach skipped")
-    return _finish_report("evader", len(deviations), worst, failures, notes)
+    return VerificationReport("evader", len(deviations), worst, tuple(failures), tuple(notes))
 
 
 def jensen_expected_distance(rho: float, tau: float, nu: float,
@@ -415,7 +411,7 @@ def jensen_bound_check() -> VerificationReport:
         "alpha2-free floor holds at every point" if corrected_ok
         else "alpha2-free floor also violated (unexpected)",
     ]
-    return _finish_report("jensen", len(points), worst, failures, notes)
+    return VerificationReport("jensen", len(points), worst, tuple(failures), tuple(notes))
 
 
 def jensen_random_sweep(n: int = 1000, seed: int = 0) -> VerificationReport:
@@ -438,26 +434,26 @@ def jensen_random_sweep(n: int = 1000, seed: int = 0) -> VerificationReport:
         "alpha2-free floor holds at every sampled point" if corrected_ok
         else "alpha2-free floor also violated (unexpected)",
     ]
-    return _finish_report("jensen_random", len(points), worst, failures, notes)
+    return VerificationReport("jensen_random", len(points), worst, tuple(failures), tuple(notes))
 
 
 def capture_time_bound_check(
-    nu: float = 0.7,
-    rho0: float = 5.0,
-    r_cap: float = 0.1,
+    config: Optional[GameConfig] = None,
     trials: int = 100,
     seed: int = 0,
 ) -> VerificationReport:
     """Check the arrival-sensing pursuer's capture-time and budget guarantees.
 
-    Against every evader: capture happens, no later than
+    Reads only ``nu``, ``r_cap`` and the initial separation rho0 of
+    ``config`` (default nu 0.7, r_cap 0.1, rho0 5) and plays the game on
+    the +x axis.  Against every evader: capture happens, no later than
     (rho0 - r_cap)/(1 - nu), with at most the closed-form number of
     sensings, and the path is no longer than both the elapsed time and the
     closed-form travel budget.  Radial flight must attain the time bound
     exactly; a stationary evader must be caught after exactly rho0 - r_cap.
     """
-    if not 0.0 < nu < 1.0:
-        raise ValueError(f"nu must lie in (0, 1), got {nu}")
+    config = config or replace(default_pursuer_config(), x_e0=Vec2(5.0, 0.0))
+    nu, r_cap, rho0 = config.nu, config.r_cap, config.initial_distance
     if not 0.0 < r_cap < rho0:
         raise ValueError(f"need 0 < r_cap < rho0, got r_cap={r_cap}, rho0={rho0}")
     time_bound = (rho0 - r_cap) / (1.0 - nu)
@@ -499,7 +495,7 @@ def capture_time_bound_check(
             failures.append(f"stationary: capture {capture_time:.12g} != {rho0 - r_cap:.12g}")
     notes = [f"time bound {time_bound:.12g}, sensing bound {max_senses}, "
              f"travel budget {max_travel:.12g}"]
-    return _finish_report("capture_time", len(entries), worst, failures, notes)
+    return VerificationReport("capture_time", len(entries), worst, tuple(failures), tuple(notes))
 
 
 def dense_oracle(config: GameConfig, pursuer, evader, dt: float = 1e-3,
@@ -628,7 +624,7 @@ def oracle_agreement_check(n_scenarios: int = 50, dt: float = 1e-3,
     notes = [f"{accepted} scenarios ({captures} captures), dt={dt:g}"]
     if accepted < n_scenarios:
         failures.append(f"generator accepted only {accepted} of {n_scenarios} scenarios")
-    return _finish_report("oracle", accepted, worst, failures, notes)
+    return VerificationReport("oracle", accepted, worst, tuple(failures), tuple(notes))
 
 
 SUITE_NAMES = ("pursuer", "evader", "jensen", "capture_time", "oracle")
@@ -649,12 +645,7 @@ def run_suite(
     if name == "jensen":
         return [jensen_bound_check(), jensen_random_sweep(trials, seed)]
     if name == "capture_time":
-        if config is not None:
-            return [capture_time_bound_check(
-                nu=config.nu, rho0=config.initial_distance, r_cap=config.r_cap,
-                trials=trials, seed=seed,
-            )]
-        return [capture_time_bound_check(trials=trials, seed=seed)]
+        return [capture_time_bound_check(config, trials=trials, seed=seed)]
     if name == "oracle":
         return [oracle_agreement_check(max(10, trials // 20), dt=dt, seed=seed)]
     raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES} or 'all'")

@@ -192,8 +192,9 @@ def test_criterion_2_value_surface_grid():
 
 
 def test_criterion_3_capture_time_guarantees():
-    report = capture_time_bound_check(nu=0.7, rho0=5.0, r_cap=0.1,
-                                      trials=10_000, seed=0)
+    config = GameConfig(nu=0.7, r_cap=0.1, x_p0=Vec2(0.0, 0.0), x_e0=Vec2(5.0, 0.0),
+                        t_f=20.0, n=0, phi=PayoffSpec("hinge", 0.1))
+    report = capture_time_bound_check(config, trials=10_000, seed=0)
     failures = list(report.failures)
     print(f"{report.trials} adversarial trials, worst slack "
           f"{report.worst_violation:.3e}; {report.notes[0]}")

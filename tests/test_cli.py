@@ -316,8 +316,7 @@ class TestDegradation:
     def test_floor_violation_is_an_error(self, tmp_path, capsys, monkeypatch):
         # DegradationReport refuses a table below its own floor: exit 2, no CSV
         def below_floor(rho0, t_f, nu, phi):
-            return DegradationReport(n_star=0, deltas=(0.1,), betas=(1.0,),
-                                     continuous_payoff=0.5)
+            return DegradationReport(deltas=(0.1,), betas=(1.0,), continuous_payoff=0.5)
 
         monkeypatch.setattr(cli, "degradation_report", below_floor)
         out = tmp_path / "deg.csv"

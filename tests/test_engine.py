@@ -396,8 +396,9 @@ class TestSimulate:
         ]
         assert data["captured"] is True
         assert isinstance(data["sensing_times"], list)
-        miss = Outcome(False, None, 1.0, 0.9, (0.5,)).to_json_dict()
-        assert miss["capture_time"] is None
+        miss = Outcome(None, 1.0, 0.9, (0.5,)).to_json_dict()
+        assert miss["capture_time"] is None and miss["captured"] is False
+        assert Outcome(0.0, 0.05, 0.0, ()).captured is True  # caught at t = 0
 
 
 class _SenseEachReview:
@@ -625,7 +626,7 @@ class TestTrajectoryCsv:
         segments = [Segment(t0, t1, Vec2(x, y), Vec2(vx, vy)) for t0, t1, x, y, vx, vy in rows]
         split = min(split, len(segments))
         result = SimulationResult(
-            Outcome(False, None, 1.0, 0.9, ()),
+            Outcome(None, 1.0, 0.9, ()),
             Trajectory(Vec2(0.0, 0.0), tuple(segments[:split])),
             Trajectory(Vec2(1.0, 0.0), tuple(segments[split:])),
             SensingLog.initial(make_config()),

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,7 @@ from intermittent_pursuit import (
     trigger_coefficient,
     value_bound,
 )
+from intermittent_pursuit import strategies
 from conftest import make_config
 
 
@@ -351,7 +353,38 @@ class TestBuilders:
     def test_equilibrium_default_thetas_follow_seed(self):
         cfg = make_config(n=4, seed=11)
         eq = build_evader("equilibrium", cfg)
-        assert eq.thetas == theta_stream(11, 0, 5)
+        assert tuple(eq.thetas) == theta_stream(11, 0, 5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 130),
+           st.lists(st.integers(0, 130), max_size=8))
+    def test_lazy_draws_equal_the_bulk_stream_property(self, seed, n, reads):
+        """Read in any order, the built evader's stream is ``theta_stream``'s."""
+        eq = build_evader("equilibrium", make_config(n=n, seed=seed))
+        bulk = theta_stream(seed, 0, n + 1)
+        reads = [k for k in reads if k <= n]
+        assert [eq.thetas[k] for k in reads] == [bulk[k] for k in reads]
+        assert len(eq.thetas) == n + 1 and tuple(eq.thetas) == bulk
+
+    def test_equilibrium_draws_only_the_orientations_read(self, monkeypatch):
+        drawn = []
+        true_rng = strategies.trial_rng
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def choice(self, *args, **kwargs):
+                values = self.rng.choice(*args, **kwargs)
+                drawn.append(np.size(values))
+                return values
+
+        monkeypatch.setattr(strategies, "trial_rng",
+                            lambda seed, trial: CountingRng(true_rng(seed, trial)))
+        cfg = make_config(rho0=1.0, t_f=5.0, n=10**6)
+        result = simulate(cfg, build_pursuer("thm1", cfg), build_evader("equilibrium", cfg))
+        assert result.outcome.captured
+        assert 1 <= sum(drawn) <= len(result.outcome.sensing_times) + 1
 
     def test_rejects_unknown_names_and_params(self):
         cfg = make_config()

@@ -545,7 +545,7 @@ class TestDegradation:
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
-            DegradationReport(n_star=1, deltas=(0.1, 0.0), betas=(1.0,), continuous_payoff=0.5)
+            DegradationReport(deltas=(0.1, 0.0), betas=(1.0,), continuous_payoff=0.5)
         with pytest.raises(ValueError):
             # delta far below its floor
-            DegradationReport(n_star=1, deltas=(0.1, 0.0), betas=(3.0, -0.5), continuous_payoff=0.5)
+            DegradationReport(deltas=(0.1, 0.0), betas=(3.0, -0.5), continuous_payoff=0.5)

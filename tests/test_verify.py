@@ -49,16 +49,29 @@ from conftest import CrookedHeading, Speeder, make_config
 class TestReport:
     def test_json_layout(self):
         report = VerificationReport(
-            suite="demo", trials=3, tolerance=1e-9, worst_violation=-0.5,
-            failures=(), passed=True, notes=("fine",),
+            suite="demo", trials=3, worst_violation=-0.5, failures=(), notes=("fine",),
         )
         data = report.to_json_dict()
-        assert sorted(data) == [
-            "failures", "notes", "passed", "suite", "tolerance",
-            "trials", "worst_violation",
+        assert list(data) == [
+            "suite", "trials", "tolerance", "worst_violation", "failures", "passed", "notes",
         ]
-        assert data["passed"] is True
+        assert data["passed"] is True and data["tolerance"] == CHECK_TOL
         assert data["failures"] == []
+
+    @pytest.mark.parametrize("count", [0, 1, 12, 13, 40])
+    def test_keeps_every_failure_and_caps_only_the_json(self, count):
+        failures = tuple(f"trial_{i}: broke" for i in range(count))
+        report = VerificationReport("demo", count, 1.0, failures, ("note",))
+        capped = list(failures)
+        if len(capped) > 12:
+            capped = capped[:12] + [f"... and {len(capped) - 12} more"]
+        assert report.to_json_dict() == {
+            "suite": "demo", "trials": count, "tolerance": CHECK_TOL,
+            "worst_violation": 1.0, "failures": capped, "passed": count == 0,
+            "notes": ["note"],
+        }
+        assert len(report.failures) == count
+        assert report.passed is (count == 0)
 
 
 class TestDeviationPursuers:
@@ -168,10 +181,16 @@ class TestGuaranteeChecks:
         report = capture_time_bound_check(trials=25, seed=2)
         assert report.passed, report.failures
         assert report.suite == "capture_time"
-        with pytest.raises(ValueError):
-            capture_time_bound_check(nu=1.2)
-        with pytest.raises(ValueError):
-            capture_time_bound_check(rho0=0.05, r_cap=0.1)
+        with pytest.raises(ValueError, match="r_cap < rho0"):
+            capture_time_bound_check(make_config(rho0=0.05, r_cap=0.1))
+
+    def test_capture_time_suite_reads_only_the_separation(self):
+        # x_e0 = [3, 4] is 5 away, like the default's [5, 0]: the suite
+        # replays the game on the +x axis, so the report is the same
+        off_axis = replace(make_config(rho0=5.0, t_f=9.0, n=0, seed=4), x_e0=Vec2(3.0, 4.0))
+        report = capture_time_bound_check(off_axis, trials=30, seed=1)
+        assert report.to_json_dict() == capture_time_bound_check(trials=30, seed=1).to_json_dict()
+        assert run_suite("capture_time", off_axis, trials=30, seed=1) == [report]
 
 
 class ParkedPursuer:
@@ -235,6 +254,11 @@ class TestJensenSuite:
         report = jensen_random_sweep(n=200, seed=0)
         assert not report.passed
         assert report.trials == 200
+
+    def test_random_sweep_keeps_every_failure(self):
+        report = jensen_random_sweep(1000, 0)
+        assert len(report.failures) == 1000
+        assert report.to_json_dict()["failures"][-1] == "... and 988 more"
 
     def test_validation(self):
         with pytest.raises(ValueError):
