@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -158,6 +159,10 @@ def cmd_value_grid(args) -> int:
         raise CliError(f"--nu must lie in (0, 1), got {args.nu}")
     if args.r_cap <= 0.0:
         raise CliError(f"--r-cap must be positive, got {args.r_cap}")
+    for flag, end in (("--rho-min", args.rho_min), ("--rho-max", args.rho_max),
+                      ("--tau-min", args.tau_min), ("--tau-max", args.tau_max)):
+        if not math.isfinite(end):
+            raise CliError(f"{flag} must be finite, got {end}")
     if args.rho_min < 0.0 or args.tau_min < 0.0:
         raise CliError("--rho-min and --tau-min must be nonnegative")
     ells = _parse_ell(args.ell)

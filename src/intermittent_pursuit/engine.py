@@ -13,6 +13,15 @@ evader is queried after the pursuer, and sees the updated log.
 
 The loop advances positions as float pairs and builds one ``Vec2`` per
 player per event, for the strategies' info objects and the ``Segment``.
+
+Exact expectations fork games instead of replaying them.  A game can record
+branch points: the state of an event just before the evader is queried (time,
+both positions, log, event count, the pursuer's action after its sensing
+phase, segments so far).  Branch point k is the first event whose log holds
+more than k entries, the event at which the coin-flip evader first reads
+``thetas[k]``; a game with different ``thetas[k:]`` matches the recorded one
+up to there, and resumes from it without re-querying the pursuer.  That skip
+is sound only because strategies are pure (see the strategies module).
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ import numpy as np
 
 from .core import (ROUND_TOL, TIME_EPS, EnumerationCapError, GameConfig, PayoffSpec, Vec2,
                    exceeds, fmt_g, write_csv)
-from .strategies import EquilibriumEvader, EvaderInfo, PursuerInfo, SensingLog, theta_stream
+from .strategies import (EquilibriumEvader, EvaderInfo, PursuerAction, PursuerInfo, SensingLog,
+                         theta_stream)
 
 __all__ = [
     "Segment",
@@ -167,6 +177,18 @@ def detect_capture(p_seg: Segment, e_seg: Segment, r_cap: float) -> Optional[flo
     return None if s is None else t0 + s
 
 
+class _BranchPoint(NamedTuple):
+    """An event's state just before the evader is queried; a game can resume here."""
+
+    t: float
+    x_p: Vec2
+    x_e: Vec2
+    log: SensingLog
+    events: int
+    p_action: PursuerAction  # after the sensing phase
+    segments: int  # per player, played before this event
+
+
 def _velocity(action, cap: float, role: str) -> Vec2:
     """The action's velocity, after the one check both players' actions get.
 
@@ -185,7 +207,8 @@ def _velocity(action, cap: float, role: str) -> Vec2:
     return velocity
 
 
-def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact):
+def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact,
+          start=None, points: Optional[list] = None):
     """The event loop that ``simulate`` and the dense oracle share.
 
     Positions advance as floats.  ``first_contact(t, t_next, px, py, vpx,
@@ -193,36 +216,52 @@ def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact):
     on [t, t_next] under the given constant velocities, or None; it is the
     only step in which the callers differ.  A ``review_dt`` whose t_f /
     review_dt exceeds ``max_events`` is rejected before the first event.
-    Returns the outcome, the sensing log and both players' segment lists.
+
+    ``start``, a ``(branch point, SimulationResult)`` pair of an earlier
+    game of this config and pursuer, resumes at that point: its event keeps
+    its count and pursuer action, and the segments before it are that
+    game's.  ``points``, when given, gets branch point k appended at the
+    first event whose log holds more than k entries; a resumed game's list
+    must already hold the points up to its start.  Returns the outcome, the
+    sensing log and both players' segment lists.
     """
     for review_dt in (getattr(pursuer, "review_dt", None), getattr(evader, "review_dt", None)):
         if review_dt and config.t_f / review_dt > max_events:
             raise RuntimeError(f"event budget {max_events} is below the estimated "
                                f"{config.t_f / review_dt:.6g} events of review_dt={review_dt}")
 
-    log = SensingLog.initial(config)
-    t = 0.0
-    x_p, x_e = config.x_p0, config.x_e0
-    px, py, ex, ey = x_p.x, x_p.y, x_e.x, x_e.y
-    p_segments: list[Segment] = []
-    e_segments: list[Segment] = []
     continuous = bool(getattr(pursuer, "continuous_observation", False))
+    if start is None:
+        log = SensingLog.initial(config)
+        t = 0.0
+        x_p, x_e = config.x_p0, config.x_e0
+        p_segments: list[Segment] = []
+        e_segments: list[Segment] = []
+        events, p_action = 0, None
+        capture_time = 0.0 if math.hypot(x_p.x - x_e.x, x_p.y - x_e.y) <= config.r_cap else None
+    else:
+        (t, x_p, x_e, log, events, p_action, played), parent = start
+        p_segments = list(parent.pursuer_trajectory.segments[:played])
+        e_segments = list(parent.evader_trajectory.segments[:played])
+        capture_time = None
+    px, py, ex, ey = x_p.x, x_p.y, x_e.x, x_e.y
 
-    capture_time = 0.0 if math.hypot(px - ex, py - ey) <= config.r_cap else None
-
-    events = 0
     while capture_time is None and t < config.t_f - TIME_EPS:
-        events += 1
-        if events > max_events:
-            raise RuntimeError(f"event budget {max_events} exhausted at t={t}")
+        if p_action is None:  # a resumed event already has its pursuer action
+            events += 1
+            if events > max_events:
+                raise RuntimeError(f"event budget {max_events} exhausted at t={t}")
 
-        # Sensing phase: re-query until the pursuer stops asking.  A second
-        # request at the same instant is rejected by the log itself.
-        live = x_e if continuous else None
-        p_action = pursuer.act(PursuerInfo(t, x_p, log, config, live))
-        while p_action.sense_now:
-            log = log.record(t, x_e, x_p)
+            # Sensing phase: re-query until the pursuer stops asking.  A second
+            # request at the same instant is rejected by the log itself.
+            live = x_e if continuous else None
             p_action = pursuer.act(PursuerInfo(t, x_p, log, config, live))
+            while p_action.sense_now:
+                log = log.record(t, x_e, x_p)
+                p_action = pursuer.act(PursuerInfo(t, x_p, log, config, live))
+            if points is not None and len(points) < len(log.times):
+                point = _BranchPoint(t, x_p, x_e, log, events, p_action, len(p_segments))
+                points += [point] * (len(log.times) - len(points))
         v_p = _velocity(p_action, 1.0, "pursuer")
 
         e_info = EvaderInfo(t, x_e, x_p, log, config)
@@ -233,6 +272,7 @@ def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact):
         for review in (p_action.review_at, e_action.review_at):
             if review is not None and t + TIME_EPS < review < t_next:
                 t_next = review
+        p_action = None
 
         vpx, vpy, vex, vey = v_p.x, v_p.y, v_e.x, v_e.y
         t_hit = first_contact(t, t_next, px, py, vpx, vpy, ex, ey, vex, vey)
@@ -257,20 +297,29 @@ def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact):
     return outcome, log, p_segments, e_segments
 
 
-def simulate(config: GameConfig, pursuer, evader, max_events: int = 200_000) -> SimulationResult:
+def simulate(config: GameConfig, pursuer, evader, max_events: int = 200_000, *,
+             _fork=None) -> SimulationResult:
     """Play one game to capture or to the horizon.
 
     ``pursuer`` and ``evader`` are strategy objects (see strategies module).
     Raises BudgetViolationError if the pursuer senses beyond its budget, and
     ValueError on a malformed action: a velocity that is not a ``Vec2``, or
     whose speed is non-finite or above the player's cap.
+
+    ``_fork`` is the hook through which ``_leaves`` forks games: a
+    ``(start, points)`` pair passed to the event loop, where ``start`` is
+    None or a branch point of an earlier game with that game's result, and
+    ``points`` is the list that gets this game's branch points.  A resumed
+    game returns a result equal (==) to the one a replay from t = 0 gives,
+    as long as the pursuer is pure.
     """
     def first_contact(t, t_next, px, py, vpx, vpy, ex, ey, vex, vey):
         s = _capture_root(px, py, vpx, vpy, ex, ey, vex, vey, config.r_cap, t_next - t)
         return None if s is None else t + s
 
+    start, points = _fork or (None, None)
     outcome, log, p_segments, e_segments = _play(config, pursuer, evader, max_events,
-                                                 first_contact)
+                                                 first_contact, start, points)
     return SimulationResult(
         outcome=outcome,
         pursuer_trajectory=Trajectory(config.x_p0, tuple(p_segments)),
@@ -286,24 +335,39 @@ def _leaves(config: GameConfig, pursuer) -> list[tuple[float, int]]:
     log ends with d entries depends on ``thetas[:d]`` alone.  Each prefix is
     played padded with +1s (its +1 child replays the same tuple) and branches
     while shorter than min(d, n + 1); a leaf at depth L has weight 2^-L.
-    Raises EnumerationCapError rather than simulate a leaf past the cap.
+
+    The -1 child at depth L matches its parent's game until the evader first
+    reads ``thetas[L-1]``, at the parent's branch point L - 1, so it resumes
+    there, reusing the parent's earlier segments and skipping that event's
+    pursuer queries; that takes a pure pursuer.  It replays from t = 0 only
+    when the parent played no event (capture at t = 0, or no time left).
+    Every played leaf is one ``simulate`` call.  Raises EnumerationCapError
+    rather than simulate a leaf past the cap.
     """
     draws = config.n + 1
     played, leaves = 0, []
-    stack: list = [((), None)]  # (prefix, its game if already played)
+    # (prefix, its game and branch points once played, else the fork that plays it)
+    stack: list = [((), None, (None, []))]
     while stack:
-        prefix, result = stack.pop()
-        if result is None:
+        prefix, game, fork = stack.pop()
+        depth = len(prefix)
+        if game is None:
             if played == 2 ** _ENUMERATION_CAP:
                 raise EnumerationCapError(f"{played} leaves simulated and the prefix tree "
                                           f"has more; the cap is 2^{_ENUMERATION_CAP}")
             played += 1
-            padded = prefix + (1,) * (draws - len(prefix))
-            result = simulate(config, pursuer, EquilibriumEvader(padded))
-        if len(prefix) >= min(len(result.log.times), draws):
-            leaves.append((result.outcome.payoff, len(prefix)))
+            padded = prefix + (1,) * (draws - depth)
+            result = simulate(config, pursuer, EquilibriumEvader(padded), _fork=fork)
+            game = result, fork[1]
+        result, points = game
+        if depth >= min(len(result.log.times), draws):
+            leaves.append((result.outcome.payoff, depth))
         else:
-            stack += [(prefix + (-1,), None), (prefix + (1,), result)]
+            fork = (None, [])
+            if points:  # the child shares the branch points up to the one it resumes from
+                point = points[depth]
+                fork = (point, result), points[:len(point.log.times)]
+            stack += [(prefix + (-1,), None, fork), (prefix + (1,), game, None)]
     return leaves
 
 

@@ -9,7 +9,9 @@ every action with one rule: the speed must not exceed the player's cap, 1
 for the pursuer and nu for the evader, up to ``ROUND_TOL`` (NaN and
 infinity fail).  Strategies must be pure functions of the info object:
 re-querying with the same info must return the same action, which is what
-makes event-driven simulation, replay, and exact enumeration sound.
+makes event-driven simulation, replay, and exact enumeration sound (the
+enumeration resumes a game mid-way with a pursuer action an earlier game
+got from the same info).
 
 Information hygiene: the pursuer sees its own position and the sensing log
 (evader fixes at sensing instants only); the evader additionally sees the

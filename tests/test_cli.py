@@ -247,7 +247,7 @@ class TestValueGrid:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, value", [
-        ("--tau-max", "nan"), ("--rho-max", "inf"), ("--rho-min", "nan"),
+        ("--tau-max", "nan"), ("--rho-max", "inf"), ("--rho-min", "nan"), ("--tau-min", "inf"),
     ])
     def test_non_finite_grid_writes_nothing(self, flag, value, tmp_path, capsys):
         out = tmp_path / "grid.csv"
@@ -259,6 +259,7 @@ class TestValueGrid:
             argv += [key, raw]
         code, stdout, err = run_cli(*argv, capsys=capsys)
         assert code == 2 and stdout == "" and err.startswith("error: ")
+        assert flag in err and value in err
         assert list(tmp_path.iterdir()) == []
 
 

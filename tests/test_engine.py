@@ -6,7 +6,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intermittent_pursuit import (
@@ -441,6 +441,17 @@ def _assert_matches_product_reference(config, pursuer):
     assert _result_or_error(exact_expected_payoff, config, pursuer) == expected
 
 
+class _CountingPursuer:
+    """Pure pursuer that counts its queries: it answers as the one it wraps."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def act(self, info):
+        self.calls += 1
+        return self.inner.act(info)
+
+
 def _count_simulate_calls(monkeypatch) -> list:
     """Route engine.simulate through a counter; returns the one-cell count."""
     calls = [0]
@@ -555,6 +566,52 @@ class TestExpectations:
         payoffs = enumerate_branch_payoffs(cfg, WaitingPursuer())
         assert len(payoffs) == 2**5
         assert calls[0] <= 2**5
+
+    def test_resumed_branch_skips_the_pursuer_queries(self, monkeypatch):
+        # one event per game: the -1 branch resumes at it with the action the
+        # +1 game's pursuer query gave, so one query serves both games
+        calls = _count_simulate_calls(monkeypatch)
+        pursuer = _CountingPursuer(EndpointDeviationPursuer(1.0, 0.3))
+        exact_expected_payoff(make_config(n=4), pursuer)
+        assert pursuer.calls == 1
+        assert calls[0] == 2
+
+    @given(
+        family=st.sampled_from(sorted(_PURSUER_FAMILIES)),
+        nu=st.floats(0.2, 0.9),
+        rho=st.floats(0.0, 3.0),
+        angle=st.floats(0.0, 2.0 * math.pi),
+        t_f=st.floats(0.0, 6.0),
+        n=st.integers(0, 4),
+    )
+    @example(family="thm1", nu=0.7, rho=1.0, angle=0.0, t_f=5.0, n=0)
+    @example(family="prop1", nu=0.7, rho=0.05, angle=1.0, t_f=5.0, n=2)  # caught at t = 0
+    def test_resumed_leaves_equal_replays_property(self, family, nu, rho, angle, t_f, n):
+        cfg = GameConfig(
+            nu=nu, r_cap=0.1, x_p0=Vec2(0.0, 0.0),
+            x_e0=Vec2(rho * math.cos(angle), rho * math.sin(angle)),
+            t_f=t_f, n=n, phi=PayoffSpec("hinge", 0.1),
+        )
+        pursuer = _PURSUER_FAMILIES[family]
+        real_simulate = engine.simulate
+        games = []  # (played leaf, its replay from t = 0, whether it resumed)
+
+        def replaying_simulate(config, pursuer, evader, *args, _fork=None, **kwargs):
+            result = real_simulate(config, pursuer, evader, *args, _fork=_fork, **kwargs)
+            replay = real_simulate(config, pursuer, EquilibriumEvader(evader.thetas))
+            games.append((result, replay, _fork[0] is not None))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "simulate", replaying_simulate)
+            _result_or_error(exact_expected_payoff, cfg, pursuer)
+        for result, replay, _ in games:
+            assert result == replay
+        if games:
+            # every game after the first resumes, unless the first ended at t = 0
+            first_moved = bool(games[0][0].pursuer_trajectory.segments)
+            resumed = [resumed for _, _, resumed in games]
+            assert resumed == [False] + [first_moved] * (len(games) - 1)
 
     def test_mc_agrees_with_exact(self):
         cfg = make_config(n=1, t_f=4.0)
