@@ -354,6 +354,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (CliError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,13 +14,14 @@ evader is queried after the pursuer, and sees the updated log.
 The loop advances positions as float pairs and builds one ``Vec2`` per
 player per event, for the strategies' info objects and the ``Segment``.
 
-Exact expectations fork games instead of replaying them.  A game can record
-branch points: the state of an event just before the evader is queried (time,
-both positions, log, event count, the pursuer's action after its sensing
-phase, segments so far).  Branch point k is the first event whose log holds
-more than k entries, the event at which the coin-flip evader first reads
-``thetas[k]``; a game with different ``thetas[k:]`` matches the recorded one
-up to there, and resumes from it without re-querying the pursuer.  That skip
+Every game starts from a branch point: the state of an event just before
+the evader is queried (time, both positions, log, event count, the
+pursuer's action after its sensing phase, both players' segments so far).
+A fresh game starts from the initial one, at t = 0 with no event played.
+Branch point k is the first event whose log holds more than k entries, the
+event at which the coin-flip evader first reads ``thetas[k]``; a game with
+different ``thetas[k:]`` matches the recorded one up to there, and exact
+expectations resume it there without re-querying the pursuer.  That skip
 is sound only because strategies are pure (see the strategies module).
 """
 
@@ -32,7 +33,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import (ROUND_TOL, TIME_EPS, EnumerationCapError, GameConfig, PayoffSpec, Vec2,
+from .core import (ROUND_TOL, TIME_EPS, EnumerationCapError, GameConfig, Vec2,
                    exceeds, fmt_g, write_csv)
 from .strategies import (EquilibriumEvader, EvaderInfo, PursuerAction, PursuerInfo, SensingLog,
                          theta_stream)
@@ -44,7 +45,6 @@ __all__ = [
     "SimulationResult",
     "detect_capture",
     "simulate",
-    "payoff_of",
     "exact_expected_payoff",
     "enumerate_branch_payoffs",
     "mc_expected_payoff",
@@ -54,6 +54,8 @@ __all__ = [
 
 # Most prefix-tree leaves simulated, and branches expanded, is 2^_ENUMERATION_CAP.
 _ENUMERATION_CAP = 20
+# Most events one game may play.
+_MAX_EVENTS = 200_000
 
 
 class Segment(NamedTuple):
@@ -121,14 +123,6 @@ class SimulationResult:
     outcome: Outcome
     pursuer_trajectory: Trajectory
     evader_trajectory: Trajectory
-    log: SensingLog
-
-
-def payoff_of(phi: PayoffSpec, captured: bool, final_distance: float) -> float:
-    """Terminal payoff: zero on capture, otherwise the miss penalty."""
-    if captured:
-        return 0.0
-    return phi.evaluate(final_distance)
 
 
 def _capture_root(px: float, py: float, vpx: float, vpy: float, ex: float, ey: float,
@@ -178,15 +172,16 @@ def detect_capture(p_seg: Segment, e_seg: Segment, r_cap: float) -> Optional[flo
 
 
 class _BranchPoint(NamedTuple):
-    """An event's state just before the evader is queried; a game can resume here."""
+    """An event's state just before the evader is queried; every game starts at one."""
 
     t: float
     x_p: Vec2
     x_e: Vec2
     log: SensingLog
     events: int
-    p_action: PursuerAction  # after the sensing phase
-    segments: int  # per player, played before this event
+    p_action: Optional[PursuerAction]  # after the sensing phase; None at the initial point
+    p_segments: tuple[Segment, ...]  # played before this event
+    e_segments: tuple[Segment, ...]
 
 
 def _velocity(action, cap: float, role: str) -> Vec2:
@@ -207,24 +202,24 @@ def _velocity(action, cap: float, role: str) -> Vec2:
     return velocity
 
 
-def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact,
-          start=None, points: Optional[list] = None):
+def _play(config: GameConfig, pursuer, evader, first_contact,
+          start: Optional[_BranchPoint] = None, points: Optional[list] = None) -> SimulationResult:
     """The event loop that ``simulate`` and the dense oracle share.
 
     Positions advance as floats.  ``first_contact(t, t_next, px, py, vpx,
     vpy, ex, ey, vex, vey)`` returns the absolute time of the first capture
     on [t, t_next] under the given constant velocities, or None; it is the
     only step in which the callers differ.  A ``review_dt`` whose t_f /
-    review_dt exceeds ``max_events`` is rejected before the first event.
+    review_dt exceeds ``_MAX_EVENTS`` is rejected before the first event.
 
-    ``start``, a ``(branch point, SimulationResult)`` pair of an earlier
-    game of this config and pursuer, resumes at that point: its event keeps
-    its count and pursuer action, and the segments before it are that
-    game's.  ``points``, when given, gets branch point k appended at the
-    first event whose log holds more than k entries; a resumed game's list
-    must already hold the points up to its start.  Returns the outcome, the
-    sensing log and both players' segment lists.
+    The game starts from ``start``, by default the initial branch point;
+    capture at t = 0 is checked only there.  Any other start is a branch
+    point of an earlier game of this config and pursuer: its event keeps
+    its count and pursuer action.  ``points``, when given, gets branch point
+    k appended at the first event whose log holds more than k entries; a
+    resumed game's list must already hold the points up to its start.
     """
+    max_events = _MAX_EVENTS  # read once: the loop checks it every event
     for review_dt in (getattr(pursuer, "review_dt", None), getattr(evader, "review_dt", None)):
         if review_dt and config.t_f / review_dt > max_events:
             raise RuntimeError(f"event budget {max_events} is below the estimated "
@@ -232,18 +227,13 @@ def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact,
 
     continuous = bool(getattr(pursuer, "continuous_observation", False))
     if start is None:
-        log = SensingLog.initial(config)
-        t = 0.0
-        x_p, x_e = config.x_p0, config.x_e0
-        p_segments: list[Segment] = []
-        e_segments: list[Segment] = []
-        events, p_action = 0, None
-        capture_time = 0.0 if math.hypot(x_p.x - x_e.x, x_p.y - x_e.y) <= config.r_cap else None
-    else:
-        (t, x_p, x_e, log, events, p_action, played), parent = start
-        p_segments = list(parent.pursuer_trajectory.segments[:played])
-        e_segments = list(parent.evader_trajectory.segments[:played])
-        capture_time = None
+        start = _BranchPoint(0.0, config.x_p0, config.x_e0, SensingLog.initial(config), 0, None,
+                             (), ())
+    t, x_p, x_e, log, events, p_action, p_segments, e_segments = start
+    p_segments, e_segments = list(p_segments), list(e_segments)
+    capture_time = None
+    if events == 0 and math.hypot(x_p.x - x_e.x, x_p.y - x_e.y) <= config.r_cap:
+        capture_time = 0.0
     px, py, ex, ey = x_p.x, x_p.y, x_e.x, x_e.y
 
     while capture_time is None and t < config.t_f - TIME_EPS:
@@ -260,7 +250,8 @@ def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact,
                 log = log.record(t, x_e, x_p)
                 p_action = pursuer.act(PursuerInfo(t, x_p, log, config, live))
             if points is not None and len(points) < len(log.times):
-                point = _BranchPoint(t, x_p, x_e, log, events, p_action, len(p_segments))
+                point = _BranchPoint(t, x_p, x_e, log, events, p_action,
+                                     tuple(p_segments), tuple(e_segments))
                 points += [point] * (len(log.times) - len(points))
         v_p = _velocity(p_action, 1.0, "pursuer")
 
@@ -291,62 +282,55 @@ def _play(config: GameConfig, pursuer, evader, max_events: int, first_contact,
     outcome = Outcome(
         capture_time=capture_time,
         final_distance=final_distance,
-        payoff=payoff_of(config.phi, capture_time is not None, final_distance),
+        payoff=0.0 if capture_time is not None else config.phi.evaluate(final_distance),
         sensing_times=log.times[1:],
     )
-    return outcome, log, p_segments, e_segments
+    return SimulationResult(outcome, Trajectory(config.x_p0, tuple(p_segments)),
+                            Trajectory(config.x_e0, tuple(e_segments)))
 
 
-def simulate(config: GameConfig, pursuer, evader, max_events: int = 200_000, *,
-             _fork=None) -> SimulationResult:
+def simulate(config: GameConfig, pursuer, evader, *, _fork=None) -> SimulationResult:
     """Play one game to capture or to the horizon.
 
     ``pursuer`` and ``evader`` are strategy objects (see strategies module).
-    Raises BudgetViolationError if the pursuer senses beyond its budget, and
-    ValueError on a malformed action: a velocity that is not a ``Vec2``, or
-    whose speed is non-finite or above the player's cap.
+    Raises BudgetViolationError if the pursuer senses beyond its budget,
+    ValueError on a malformed action (a velocity that is not a ``Vec2``, or
+    whose speed is non-finite or above the player's cap) and RuntimeError
+    past the event budget of 200 000 events.
 
     ``_fork`` is the hook through which ``_leaves`` forks games: a
     ``(start, points)`` pair passed to the event loop, where ``start`` is
-    None or a branch point of an earlier game with that game's result, and
-    ``points`` is the list that gets this game's branch points.  A resumed
-    game returns a result equal (==) to the one a replay from t = 0 gives,
-    as long as the pursuer is pure.
+    None or a branch point of an earlier game, and ``points`` is the list
+    that gets this game's branch points.  A resumed game returns a result
+    equal (==) to the one a fresh game gives, as long as the pursuer is pure.
     """
     def first_contact(t, t_next, px, py, vpx, vpy, ex, ey, vex, vey):
         s = _capture_root(px, py, vpx, vpy, ex, ey, vex, vey, config.r_cap, t_next - t)
         return None if s is None else t + s
 
-    start, points = _fork or (None, None)
-    outcome, log, p_segments, e_segments = _play(config, pursuer, evader, max_events,
-                                                 first_contact, start, points)
-    return SimulationResult(
-        outcome=outcome,
-        pursuer_trajectory=Trajectory(config.x_p0, tuple(p_segments)),
-        evader_trajectory=Trajectory(config.x_e0, tuple(e_segments)),
-        log=log,
-    )
+    return _play(config, pursuer, evader, first_contact, *(_fork or ()))
 
 
 def _leaves(config: GameConfig, pursuer) -> list[tuple[float, int]]:
     """``(payoff, depth)`` of each theta-prefix-tree leaf, depth first, +1 first.
 
-    The evader reads ``thetas[k]`` only after the k-th fix, so a game whose
-    log ends with d entries depends on ``thetas[:d]`` alone.  Each prefix is
-    played padded with +1s (its +1 child replays the same tuple) and branches
-    while shorter than min(d, n + 1); a leaf at depth L has weight 2^-L.
+    The evader reads ``thetas[k]`` first at branch point k, so a game with d
+    branch points (one more than its fixes, or none if it played no event)
+    depends on ``thetas[:d]`` alone.  Each prefix is played padded with +1s
+    (its +1 child replays the same tuple) and branches while shorter than
+    min(d, n + 1); a leaf at depth L has weight 2^-L.  So a game with no
+    event (capture at t = 0, or no time left) is a single leaf.
 
-    The -1 child at depth L matches its parent's game until the evader first
-    reads ``thetas[L-1]``, at the parent's branch point L - 1, so it resumes
-    there, reusing the parent's earlier segments and skipping that event's
-    pursuer queries; that takes a pure pursuer.  It replays from t = 0 only
-    when the parent played no event (capture at t = 0, or no time left).
-    Every played leaf is one ``simulate`` call.  Raises EnumerationCapError
-    rather than simulate a leaf past the cap.
+    The root game starts fresh.  The -1 child at depth L matches its
+    parent's game until the evader first reads ``thetas[L-1]``, at the
+    parent's branch point L - 1, so it resumes there, reusing the parent's
+    earlier segments and skipping that event's pursuer queries; that takes
+    a pure pursuer.  Every played leaf is one ``simulate`` call.  Raises
+    EnumerationCapError rather than simulate a leaf past the cap.
     """
     draws = config.n + 1
     played, leaves = 0, []
-    # (prefix, its game and branch points once played, else the fork that plays it)
+    # (prefix, its game's payoff and branch points once played, else the fork that plays it)
     stack: list = [((), None, (None, []))]
     while stack:
         prefix, game, fork = stack.pop()
@@ -358,15 +342,14 @@ def _leaves(config: GameConfig, pursuer) -> list[tuple[float, int]]:
             played += 1
             padded = prefix + (1,) * (draws - depth)
             result = simulate(config, pursuer, EquilibriumEvader(padded), _fork=fork)
-            game = result, fork[1]
-        result, points = game
-        if depth >= min(len(result.log.times), draws):
-            leaves.append((result.outcome.payoff, depth))
+            game = result.outcome.payoff, fork[1]
+        payoff, points = game
+        if depth >= min(len(points), draws):
+            leaves.append((payoff, depth))
         else:
-            fork = (None, [])
-            if points:  # the child shares the branch points up to the one it resumes from
-                point = points[depth]
-                fork = (point, result), points[:len(point.log.times)]
+            # the child shares the branch points up to the one it resumes from
+            point = points[depth]
+            fork = point, points[:len(point.log.times)]
             stack += [(prefix + (-1,), None, fork), (prefix + (1,), game, None)]
     return leaves
 

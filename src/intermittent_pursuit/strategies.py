@@ -329,9 +329,9 @@ class ScriptedEvader:
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent generator for (seed, trial); trials are order-independent."""
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+    if type(seed) is not int or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    if not isinstance(trial, int) or trial < 0:
+    if type(trial) is not int or trial < 0:
         raise ValueError(f"trial index must be a nonnegative integer, got {trial!r}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 

@@ -171,7 +171,7 @@ def reach_factor(nu: float, ell: int) -> float:
     the evader through ell more sensings plus the final blind dash.
     """
     _check_nu(nu)
-    if not isinstance(ell, int) or ell < 0:
+    if type(ell) is not int or ell < 0:
         raise ValueError(f"ell must be a nonnegative integer, got {ell!r}")
     return (1.0 - nu ** (ell + 1)) / (1.0 - nu)
 
@@ -181,7 +181,7 @@ def sensing_delay(nu: float, ell: int, tau: float) -> float:
 
     ``tau`` and ``ell`` are the time and the budget left at the fix."""
     _check_nu(nu)
-    if not isinstance(ell, int) or ell < 0:
+    if type(ell) is not int or ell < 0:
         raise ValueError(f"ell must be a nonnegative integer, got {ell!r}")
     return (1.0 - nu) * tau / (1.0 - nu ** (ell + 1))
 

@@ -498,8 +498,7 @@ def capture_time_bound_check(
     return VerificationReport("capture_time", len(entries), worst, tuple(failures), tuple(notes))
 
 
-def dense_oracle(config: GameConfig, pursuer, evader, dt: float = 1e-3,
-                 max_events: int = 200_000) -> Outcome:
+def dense_oracle(config: GameConfig, pursuer, evader, dt: float = 1e-3) -> Outcome:
     """Brute-force cross-check of the engine by dense time sampling.
 
     Plays the game through the engine's own event loop (strategy queries,
@@ -524,7 +523,7 @@ def dense_oracle(config: GameConfig, pursuer, evader, dt: float = 1e-3,
         hit = np.nonzero(np.hypot(dx, dy) <= config.r_cap)[0]
         return float(sample_times[hit[0]]) if hit.size else None
 
-    return _play(config, pursuer, evader, max_events, first_contact)[0]
+    return _play(config, pursuer, evader, first_contact).outcome
 
 
 def _radial_speed_at_capture(result) -> float:

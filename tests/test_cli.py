@@ -369,6 +369,27 @@ class TestVerify:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("simulate", "--config", "{config}"), "run.outcome.json"),
+    (("value-grid", "--nu", "0.7", "--r-cap", "0.1", "--rho-max", "1", "--rho-steps", "2",
+      "--tau-max", "5", "--tau-steps", "2"), "g.csv"),
+    (("compare-nmax", "--nu-min", "0.7", "--nu-max", "0.9", "--nu-steps", "2"), "cmp.csv"),
+    (("degradation", "--nu", "0.7"), "deg.csv"),
+    (("verify", "jensen", "--trials", "30"), "r.json"),
+], ids=["simulate", "value_grid", "compare_nmax", "degradation", "verify"])
+def test_unwritable_out_is_an_error(argv, name, config_json, tmp_path, capsys):
+    # exit 1 is kept for a failed suite, so even the red jensen suite exits 2 here
+    missing = tmp_path / "missing"
+    out = missing / ("run" if argv[0] == "simulate" else name)
+    argv = [arg.format(config=config_json(default_config_payload())) for arg in argv]
+    code, _, err = run_cli(*argv, "--out", str(out), capsys=capsys)
+    assert code == 2
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert errors == [f"error: {missing / name}: No such file or directory"]
+    assert "Traceback" not in err
+    assert not missing.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

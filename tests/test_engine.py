@@ -28,7 +28,6 @@ from intermittent_pursuit import (
     ScriptedEvader,
     Segment,
     SelfTriggeredPursuer,
-    SensingLog,
     SimulationResult,
     Trajectory,
     Vec2,
@@ -42,7 +41,6 @@ from intermittent_pursuit import (
     exact_expected_payoff,
     fmt_g,
     mc_expected_payoff,
-    payoff_of,
     random_piecewise_evader,
     sampled_expected_payoff,
     simulate,
@@ -307,9 +305,10 @@ class TestSimulate:
          ScriptedEvader([(0.1 * k, Vec2(0.0, 0.0)) for k in range(1, 11)]), 5, RuntimeError,
          "event budget 5 exhausted at t=0.5"),
     ], ids=["speed_fraction", "no_heading", "tuple_velocity", "nan_review", "budget_in_loop"])
-    def test_engine_rejects(self, pursuer, evader, max_events, error, match):
+    def test_engine_rejects(self, pursuer, evader, max_events, error, match, monkeypatch):
+        monkeypatch.setattr(engine, "_MAX_EVENTS", max_events)
         with pytest.raises(error, match=match):
-            simulate(make_config(rho0=2.0, t_f=5.0, n=0), pursuer, evader, max_events=max_events)
+            simulate(make_config(rho0=2.0, t_f=5.0, n=0), pursuer, evader)
 
     @settings(max_examples=200)
     @given(
@@ -342,10 +341,11 @@ class TestSimulate:
             mover = getattr(result, f"{role}_trajectory")
             assert mover.segments[0].velocity == velocity
 
-    def test_event_budget(self):
+    def test_event_budget(self, monkeypatch):
         cfg = make_config(rho0=3.0, t_f=3.0, n=0)
+        monkeypatch.setattr(engine, "_MAX_EVENTS", 100)
         with pytest.raises(RuntimeError, match="event budget"):
-            simulate(cfg, ContinuousPursuer(review_dt=1e-4), RadialEvader(), max_events=100)
+            simulate(cfg, ContinuousPursuer(review_dt=1e-4), RadialEvader())
 
     @pytest.mark.parametrize("side", ["pursuer", "evader"])
     def test_event_budget_fails_before_the_first_event(self, side, monkeypatch):
@@ -479,11 +479,6 @@ _PURSUER_FAMILIES = {
 
 
 class TestExpectations:
-    def test_payoff_of(self):
-        phi = make_config().phi
-        assert payoff_of(phi, True, 5.0) == 0.0
-        assert payoff_of(phi, False, 0.6) == pytest.approx(0.5)
-
     def test_branch_enumeration_order_and_symmetry(self):
         cfg = make_config(n=1, t_f=4.0)
         payoffs = enumerate_branch_payoffs(cfg, WaitingPursuer())
@@ -575,6 +570,20 @@ class TestExpectations:
         exact_expected_payoff(make_config(n=4), pursuer)
         assert pursuer.calls == 1
         assert calls[0] == 2
+
+    @pytest.mark.parametrize("n", (0, 3))
+    @pytest.mark.parametrize("t_f, rho0", [(0.0, 1.0), (5.0, 0.1)],
+                             ids=["no_time", "caught_at_t0"])
+    def test_game_without_events_is_one_leaf(self, t_f, rho0, n, monkeypatch):
+        # the evader is never queried, so no coin is read and nothing branches
+        cfg = make_config(rho0=rho0, t_f=t_f, n=n)
+        game = simulate(cfg, WaitingPursuer(), EquilibriumEvader((1,) * (n + 1)))
+        assert not game.pursuer_trajectory.segments
+        calls = _count_simulate_calls(monkeypatch)
+        assert exact_expected_payoff(cfg, WaitingPursuer()) == game.outcome.payoff
+        assert calls[0] == 1
+        payoffs = enumerate_branch_payoffs(cfg, WaitingPursuer())
+        assert payoffs == (game.outcome.payoff,) * 2 ** (n + 1)
 
     @given(
         family=st.sampled_from(sorted(_PURSUER_FAMILIES)),
@@ -686,7 +695,6 @@ class TestTrajectoryCsv:
             Outcome(None, 1.0, 0.9, ()),
             Trajectory(Vec2(0.0, 0.0), tuple(segments[:split])),
             Trajectory(Vec2(1.0, 0.0), tuple(segments[split:])),
-            SensingLog.initial(make_config()),
         )
         path = tmp_path_factory.mktemp("csv") / "run.csv"
         write_trajectory_csv(path, result)

@@ -21,6 +21,7 @@ from intermittent_pursuit import (
     ValueBound,
     continuous_sensing_payoff,
     degradation_report,
+    holds_at_fix,
     matching_sense_count,
     reach_factor,
     sense_count_arrival,
@@ -28,7 +29,9 @@ from intermittent_pursuit import (
     sensing_delay,
     self_triggered_contraction,
     self_triggered_contraction_raw,
+    theta_stream,
     travel_budget,
+    trial_rng,
     trigger_coefficient,
     value_bound,
 )
@@ -188,6 +191,23 @@ def test_sensing_delay_spreads_the_time_over_the_reach():
         sensing_delay(0.7, -1, 5.0)
     with pytest.raises(ValueError, match="nu"):
         sensing_delay(1.0, 2, 5.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: reach_factor(0.7, True), "ell must be a nonnegative integer, got True"),
+    (lambda: sensing_delay(0.7, True, 5.0), "ell must be a nonnegative integer, got True"),
+    (lambda: holds_at_fix(1.0, 5.0, True, 0.7, 0.1), "ell must be a nonnegative integer"),
+    (lambda: value_bound(1.0, 5.0, True, HINGE, 0.7), "ell must be a nonnegative integer"),
+    (lambda: trial_rng(True, 0), r"seed must be an integer in \[0, 2\*\*64\), got True"),
+    (lambda: trial_rng(0, True), "trial index must be a nonnegative integer, got True"),
+    (lambda: theta_stream(True, 0, 4), "seed must be an integer"),
+    (lambda: theta_stream(0, True, 4), "trial index must be a nonnegative integer"),
+], ids=["reach_factor", "sensing_delay", "holds_at_fix", "value_bound", "trial_rng_seed",
+        "trial_rng_trial", "theta_stream_seed", "theta_stream_trial"])
+def test_bool_is_not_an_integer_budget_or_seed(call, match):
+    # as GameConfig rejects n=True and seed=True
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -343,10 +343,11 @@ class TestDenseOracle:
             with pytest.raises(ValueError, match=message):
                 play(cfg, pursuer, evader)
 
-    def test_event_budget(self):
+    def test_event_budget(self, monkeypatch):
         cfg = make_config(rho0=3.0, t_f=3.0, n=0)
+        monkeypatch.setattr(engine, "_MAX_EVENTS", 100)
         with pytest.raises(RuntimeError, match="event budget"):
-            dense_oracle(cfg, ContinuousPursuer(review_dt=1e-4), RadialEvader(), max_events=100)
+            dense_oracle(cfg, ContinuousPursuer(review_dt=1e-4), RadialEvader())
 
     def test_agreement_suite(self):
         report = oracle_agreement_check(n_scenarios=6, dt=1e-3, seed=0)
