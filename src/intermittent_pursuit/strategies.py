@@ -11,7 +11,8 @@ infinity fail).  Strategies must be pure functions of the info object:
 re-querying with the same info must return the same action, which is what
 makes event-driven simulation, replay, and exact enumeration sound (the
 enumeration resumes a game mid-way with a pursuer action an earlier game
-got from the same info).
+got from the same info).  The evader suite's pursuer deviations are data:
+each is a pure ``ScriptedPursuer``, which has no config name.
 
 Information hygiene: the pursuer sees its own position and the sensing log
 (evader fixes at sensing instants only); the evader additionally sees the
@@ -45,6 +46,7 @@ __all__ = [
     "RadialEvader",
     "EquilibriumEvader",
     "ScriptedEvader",
+    "ScriptedPursuer",
     "trial_rng",
     "theta_stream",
     "PURSUER_NAMES",
@@ -304,27 +306,55 @@ class EquilibriumEvader:
 class ScriptedEvader:
     """Replay an explicit list of (end_time, velocity) legs, then stand still.
 
-    Used for deviation sweeps and regression scenarios.  A script is written
-    before it meets a config, so the engine checks each leg's velocity (a
-    ``Vec2`` within the evader cap) when it plays.  Config name: ``scripted``.
+    For adversarial sweeps and regression scenarios.  Config name: ``scripted``.
     """
 
     def __init__(self, legs: Sequence[tuple[float, Vec2]]):
-        parsed = []
-        last_end = 0.0
-        for t_end, velocity in legs:
-            t_end = _number(t_end, "leg end time")
-            if not (math.isfinite(t_end) and t_end > last_end):
-                raise ValueError(f"leg end times must be positive and increasing, got {t_end}")
-            parsed.append((t_end, velocity))
-            last_end = t_end
-        self.legs = tuple(parsed)
+        self.legs = _legs(legs)
 
     def act(self, info: EvaderInfo) -> EvaderAction:
         for t_end, velocity in self.legs:
             if info.time < t_end:
                 return EvaderAction(velocity, review_at=t_end)
         return EvaderAction()
+
+
+class ScriptedPursuer:
+    """Play (end_time, velocity) legs as ``ScriptedEvader`` does, then take fixes, then hand off.
+
+    Fix k (the free fix at t = 0 not counted) is taken at ``sense_at[k]``,
+    parked until then; after the last one it plays ``then``, or parks when
+    ``then`` is None.  Pure when ``then`` is.  No config name.
+    """
+
+    def __init__(self, legs=(), sense_at=(), then=None):
+        self.legs = _legs(legs)
+        self.sense_at = tuple(sense_at)
+        self.then = then
+
+    def act(self, info: PursuerInfo) -> PursuerAction:
+        for t_end, velocity in self.legs:
+            if info.time < t_end:
+                return PursuerAction(velocity, review_at=t_end)
+        k = len(info.log.times) - 1
+        if k < len(self.sense_at):
+            if before(info.time, self.sense_at[k]):
+                return PursuerAction(review_at=self.sense_at[k])
+            return PursuerAction(sense_now=True)
+        return self.then.act(info) if self.then is not None else PursuerAction()
+
+
+def _legs(legs: Sequence[tuple[float, Vec2]]) -> tuple[tuple[float, Vec2], ...]:
+    """A script's legs: end times finite, positive, increasing; the engine checks velocities."""
+    parsed = []
+    last_end = 0.0
+    for t_end, velocity in legs:
+        t_end = _number(t_end, "leg end time")
+        if not (math.isfinite(t_end) and t_end > last_end):
+            raise ValueError(f"leg end times must be positive and increasing, got {t_end}")
+        parsed.append((t_end, velocity))
+        last_end = t_end
+    return tuple(parsed)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

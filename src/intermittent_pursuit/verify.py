@@ -20,10 +20,9 @@ from .engine import Outcome, _play, exact_expected_payoff, simulate
 from .strategies import (
     ArrivalSensingPursuer,
     EquilibriumEvader,
-    PursuerAction,
-    PursuerInfo,
     RadialEvader,
     ScriptedEvader,
+    ScriptedPursuer,
     SelfTriggeredPursuer,
     WaitingPursuer,
     theta_stream,
@@ -33,9 +32,6 @@ from .value import sense_count_arrival, sensing_delay, travel_budget, value_boun
 
 __all__ = [
     "VerificationReport",
-    "EndpointDeviationPursuer",
-    "EarlyWaitPursuer",
-    "FirstLegDeviationPursuer",
     "random_piecewise_evader",
     "pursuer_guarantee_check",
     "evader_guarantee_check",
@@ -96,92 +92,57 @@ def _rotated(v: Vec2, angle: float) -> Vec2:
     return Vec2(c * v.x - s * v.y, s * v.x + c * v.y)
 
 
-class EndpointDeviationPursuer:
-    """Straight run to a fixed endpoint offset; never senses.
+def _endpoint_run(config: GameConfig, alpha1: float, alpha2: float) -> ScriptedPursuer:
+    """One-speed run over the whole horizon, never sensing, to an offset within reach t_f.
 
-    The endpoint is ``alpha1`` along the initial pursuer-to-evader bearing
-    plus ``alpha2`` perpendicular to it, relative to the pursuer's start.
-    Speed is constant over the whole horizon, so the offset length must not
-    exceed t_f.
+    The offset is ``alpha1`` along the initial pursuer-to-evader bearing
+    plus ``alpha2`` perpendicular to it.
     """
-
-    def __init__(self, alpha1: float, alpha2: float):
-        self.alpha1 = float(alpha1)
-        self.alpha2 = float(alpha2)
-
-    def act(self, info: PursuerInfo) -> PursuerAction:
-        cfg = info.config
-        bearing = line_of_sight(cfg.x_p0, cfg.x_e0)
-        offset = bearing * self.alpha1 + perpendicular(bearing, 1) * self.alpha2
-        length = offset.norm()
-        if length == 0.0:
-            return PursuerAction()
-        if exceeds(length, cfg.t_f):
-            raise ValueError(f"endpoint offset {length} is beyond reach {cfg.t_f}")
-        return PursuerAction(offset * (1.0 / length) * min(length / cfg.t_f, 1.0))
+    if config.initial_distance == 0.0:
+        return ScriptedPursuer()  # caught at t = 0, before any query; no bearing
+    bearing = line_of_sight(config.x_p0, config.x_e0)
+    offset = bearing * float(alpha1) + perpendicular(bearing, 1) * float(alpha2)
+    length = offset.norm()
+    if length == 0.0:
+        return ScriptedPursuer()
+    if exceeds(length, config.t_f):
+        raise ValueError(f"endpoint offset {length} is beyond reach {config.t_f}")
+    return ScriptedPursuer(((config.t_f,
+                             offset * (1.0 / length) * min(length / config.t_f, 1.0)),))
 
 
-class EarlyWaitPursuer(WaitingPursuer):
-    """Mistimed variant of the waiting pursuer: first fix forced at ``sense_time``.
+def _early_sense(config: GameConfig, sense_time: float) -> ScriptedPursuer:
+    """The waiting pursuer with its first fix moved to ``sense_time`` (none if n = 0).
 
-    Before that instant it walks toward the free fix (stopping there if it
-    arrives early); at the instant it senses; afterwards it plays the
-    waiting pursuer unchanged.  Used to check that the randomizing evader's
-    guarantee survives sensing-schedule deviations.
+    It walks toward the free fix, stopping there if it arrives early.
     """
-
-    def __init__(self, sense_time: float):
-        if not sense_time > 0:
-            raise ValueError(f"sense_time must be positive, got {sense_time}")
-        self.sense_time = float(sense_time)
-
-    def act(self, info: PursuerInfo) -> PursuerAction:
-        if len(info.log.times) > 1 or info.log.budget_remaining == 0:
-            return super().act(info)
-        if not before(info.time, self.sense_time):
-            return PursuerAction(sense_now=True)
-        _, anchor_e, _, _ = info.log.anchor()
-        remaining = info.own.dist(anchor_e)
-        if remaining > CHECK_TOL:
-            arrive = info.time + remaining
-            return PursuerAction(line_of_sight(info.own, anchor_e),
-                                 review_at=min(arrive, self.sense_time))
-        return PursuerAction(review_at=self.sense_time)
+    if not sense_time > 0:
+        raise ValueError(f"sense_time must be positive, got {sense_time}")
+    if config.n == 0:
+        return ScriptedPursuer(then=WaitingPursuer())
+    walk_end = min(config.initial_distance, float(sense_time))
+    # a walk no longer than a rounding step is not taken, as in the waiting pursuer
+    legs = ((walk_end, line_of_sight(config.x_p0, config.x_e0)),) if before(0.0, walk_end) else ()
+    return ScriptedPursuer(legs, (float(sense_time),), WaitingPursuer())
 
 
-class FirstLegDeviationPursuer(WaitingPursuer):
-    """Waiting policy with a perturbed first walk leg.
+def _first_leg(config: GameConfig, angle: float, gamma: float) -> ScriptedPursuer:
+    """The waiting pursuer with its first walk turned by ``angle`` and slowed by ``gamma``.
 
-    Keeps the prescribed schedule (walk for the anchor separation, park,
-    sense at the prescribed instant) but walks the first leg with the
-    bearing rotated by ``angle`` and speed scaled by ``gamma``.  After the
-    first fix it reverts to the waiting pursuer.  With zero budget there is
-    no fix; the park then lasts to the horizon.
+    The schedule stays: walk until min(rho0, t_f), park, take the first fix
+    (if n >= 1) at the prescribed instant.
     """
-
-    def __init__(self, angle: float, gamma: float):
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-        self.angle = float(angle)
-        self.gamma = float(gamma)
-
-    def act(self, info: PursuerInfo) -> PursuerAction:
-        if len(info.log.times) > 1:
-            return super().act(info)
-        cfg = info.config
-        rho = cfg.initial_distance
-        walk_end = min(rho, cfg.t_f)
-        ell = info.log.budget_remaining
-        t_sense = sensing_delay(cfg.nu, ell, cfg.t_f)
-        if before(info.time, walk_end) and self.gamma > 0.0:
-            bearing = line_of_sight(cfg.x_p0, cfg.x_e0)
-            return PursuerAction(_rotated(bearing, self.angle) * self.gamma,
-                                 review_at=walk_end)
-        if ell == 0:
-            return PursuerAction()
-        if before(info.time, t_sense):
-            return PursuerAction(review_at=t_sense)
-        return PursuerAction(sense_now=True)
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    walk_end = min(config.initial_distance, config.t_f)
+    legs = ()
+    if gamma > 0.0 and before(0.0, walk_end):
+        bearing = line_of_sight(config.x_p0, config.x_e0)
+        legs = ((walk_end, _rotated(bearing, float(angle)) * float(gamma)),)
+    if config.n == 0:
+        return ScriptedPursuer(legs)  # no fix: the park lasts to the horizon
+    return ScriptedPursuer(legs, (sensing_delay(config.nu, config.n, config.t_f),),
+                           WaitingPursuer())
 
 
 def random_piecewise_evader(config: GameConfig, rng: np.random.Generator) -> ScriptedEvader:
@@ -268,11 +229,12 @@ def evader_guarantee_check(config: Optional[GameConfig] = None) -> VerificationR
 
     Where the closed-form bound is tight, the evader's coin-flip strategy
     must earn at least the bound in expectation against every pursuer.
-    Deviations tried: straight runs to a 50 x 50 grid of endpoints offset
-    [0, t_f] along and [-t_f/2, t_f/2] across the initial bearing (those
-    beyond the pursuer's reach are skipped), the waiting policy with its
-    first walk leg turned by 4 angles at 3 speed fractions, 8 mistimed
-    first sensings when n >= 1, and the prescribed waiting pursuer itself.
+    Deviations tried, each a ``ScriptedPursuer``: straight runs to a 50 x 50
+    grid of endpoints offset [0, t_f] along and [-t_f/2, t_f/2] across the
+    initial bearing (those beyond the pursuer's reach are skipped), the
+    waiting policy with its first walk leg turned by 4 angles at 3 speed
+    fractions, 8 mistimed first sensings when n >= 1, and the prescribed
+    waiting pursuer itself.
     In the no-budget stop case the endpoint equal to the initial separation
     along the bearing must achieve the bound exactly.  Expectations are
     exact sums over the orientation branches.
@@ -293,18 +255,17 @@ def evader_guarantee_check(config: Optional[GameConfig] = None) -> VerificationR
             if exceeds(math.hypot(a1, a2), config.t_f):
                 skipped += 1
                 continue
-            deviations.append((f"endpoint({a1:.6g},{a2:.6g})",
-                               EndpointDeviationPursuer(a1, a2)))
+            deviations.append((f"endpoint({a1:.6g},{a2:.6g})", _endpoint_run(config, a1, a2)))
     for angle in (-0.5, -0.2, 0.2, 0.5):
         for gamma in (0.6, 0.8, 1.0):
             deviations.append((f"first_leg(angle={angle:.3g},gamma={gamma:.3g})",
-                               FirstLegDeviationPursuer(angle, gamma)))
+                               _first_leg(config, angle, gamma)))
     if config.n >= 1:
         # Try sensing at fractions of the prescribed first hold.
         hold = sensing_delay(config.nu, config.n, config.t_f)
         for frac in np.linspace(0.15, 0.9, 8):
             t_s = float(frac) * hold
-            deviations.append((f"early_sense({t_s:.6g})", EarlyWaitPursuer(t_s)))
+            deviations.append((f"early_sense({t_s:.6g})", _early_sense(config, t_s)))
     deviations.append(("prescribed", WaitingPursuer()))
 
     # Stop case with no budget: the straight run to the free fix, at the
@@ -312,7 +273,7 @@ def evader_guarantee_check(config: Optional[GameConfig] = None) -> VerificationR
     check_optimum = (config.n == 0 and config.t_f >= rho0 * (1.0 - ROUND_TOL)
                      and not exceeds(rho0, config.t_f))
     if check_optimum:
-        deviations.append(("endpoint_opt", EndpointDeviationPursuer(rho0, 0.0)))
+        deviations.append(("endpoint_opt", _endpoint_run(config, rho0, 0.0)))
 
     worst = -math.inf
     min_payoff = math.inf
@@ -498,6 +459,11 @@ def capture_time_bound_check(
     return VerificationReport("capture_time", len(entries), worst, tuple(failures), tuple(notes))
 
 
+def _check_dt(dt: float) -> None:
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+
+
 def dense_oracle(config: GameConfig, pursuer, evader, dt: float = 1e-3) -> Outcome:
     """Brute-force cross-check of the engine by dense time sampling.
 
@@ -507,8 +473,7 @@ def dense_oracle(config: GameConfig, pursuer, evader, dt: float = 1e-3) -> Outco
     root finding.  A capture the engine reports at time t is seen by the
     oracle no later than t + dt whenever the approach is transversal.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
 
     def first_contact(t, t_next, px, py, vpx, vpy, ex, ey, vex, vey):
         j_lo = math.floor(t / dt) + 1
@@ -581,10 +546,12 @@ def oracle_agreement_check(n_scenarios: int = 50, dt: float = 1e-3,
     other (the oracle lags); identical payoffs and sensing schedules on
     misses.  Grazing captures (shallow approach, or too close to an end of
     the horizon for the grid to see) are excluded by the generator, since a
-    sampled scan cannot certify them either way.
+    sampled scan cannot certify them either way.  A run that compares no
+    capture fails.
     """
     if n_scenarios < 1:
         raise ValueError(f"n_scenarios must be positive, got {n_scenarios}")
+    _check_dt(dt)
     accepted = 0
     cand = 0
     captures = 0
@@ -623,6 +590,8 @@ def oracle_agreement_check(n_scenarios: int = 50, dt: float = 1e-3,
     notes = [f"{accepted} scenarios ({captures} captures), dt={dt:g}"]
     if accepted < n_scenarios:
         failures.append(f"generator accepted only {accepted} of {n_scenarios} scenarios")
+    if captures == 0:
+        failures.append(f"0 captures compared: no capture scenario was accepted at dt={dt:g}")
     return VerificationReport("oracle", accepted, worst, tuple(failures), tuple(notes))
 
 
@@ -636,7 +605,9 @@ def run_suite(
     seed: int = 0,
     dt: float = 1e-3,
 ) -> list[VerificationReport]:
-    """Run one named suite; ``all`` is handled by the caller."""
+    """Run one named suite; ``all`` is handled by the caller.  Every suite needs trials >= 1."""
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     if name == "pursuer":
         return [pursuer_guarantee_check(config, trials=trials, seed=seed)]
     if name == "evader":

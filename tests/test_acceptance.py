@@ -24,7 +24,6 @@ import numpy as np
 from intermittent_pursuit import (
     ArrivalSensingPursuer,
     ContinuousPursuer,
-    EndpointDeviationPursuer,
     GameConfig,
     PayoffSpec,
     RadialEvader,
@@ -48,6 +47,7 @@ from intermittent_pursuit import (
     trial_rng,
     value_bound,
 )
+from intermittent_pursuit.verify import _endpoint_run
 
 HINGE = PayoffSpec("hinge", 0.1)
 
@@ -313,7 +313,7 @@ def test_criterion_5_guarantees_for_both_players():
     if not report.passed:
         failures.extend(f"evader sweep: {line}" for line in report.failures[:5])
     bound = value_bound(1.0, 2.0, 0, HINGE, 0.7)
-    e_opt = exact_expected_payoff(evader_cfg, EndpointDeviationPursuer(1.0, 0.0))
+    e_opt = exact_expected_payoff(evader_cfg, _endpoint_run(evader_cfg, 1.0, 0.0))
     if abs(e_opt - bound.value) > 1e-9:
         failures.append(f"straight run to the fix earns {e_opt:.12g}, "
                         f"bound is {bound.value:.12g}")

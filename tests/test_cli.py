@@ -368,6 +368,30 @@ class TestVerify:
             main(["verify", "bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    @pytest.mark.parametrize("suite", ["pursuer", "capture_time", "oracle", "all"])
+    def test_trials_below_one_is_an_error(self, suite, trials, capsys):
+        code, out, err = run_cli("verify", suite, "--trials", trials, capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: trials must be positive, got {trials}\n"
+
+    def test_oracle_rejects_an_infinite_step(self, capsys):
+        code, out, err = run_cli("verify", "oracle", "--trials", "200", "--dt", "inf",
+                                 capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == "error: dt must be positive and finite, got inf\n"
+
+    def test_oracle_fails_when_it_compares_no_capture(self, capsys):
+        # every capture lies within 2 dt of an end of the horizon, so none is compared
+        code, out, err = run_cli("verify", "oracle", "--trials", "200", "--dt", "1e9",
+                                 capsys=capsys)
+        assert code == 1
+        report, = json.loads(out)
+        assert report["notes"] == ["10 scenarios (0 captures), dt=1e+09"]
+        assert report["failures"] == [
+            "0 captures compared: no capture scenario was accepted at dt=1e+09"]
+        assert "oracle: FAIL" in err
+
 
 @pytest.mark.parametrize("argv, name", [
     (("simulate", "--config", "{config}"), "run.outcome.json"),

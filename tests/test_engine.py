@@ -14,18 +14,16 @@ from intermittent_pursuit import (
     ArrivalSensingPursuer,
     BudgetViolationError,
     ContinuousPursuer,
-    EarlyWaitPursuer,
-    EndpointDeviationPursuer,
     EnumerationCapError,
     EquilibriumEvader,
     EvaderAction,
-    FirstLegDeviationPursuer,
     GameConfig,
     Outcome,
     PayoffSpec,
     PursuerAction,
     RadialEvader,
     ScriptedEvader,
+    ScriptedPursuer,
     Segment,
     SelfTriggeredPursuer,
     SimulationResult,
@@ -48,6 +46,7 @@ from intermittent_pursuit import (
     value_bound,
     write_trajectory_csv,
 )
+from intermittent_pursuit.verify import _early_sense, _endpoint_run, _first_leg
 from conftest import CrookedHeading, Speeder, make_config
 
 
@@ -150,8 +149,7 @@ class TestDetectCapture:
         assert detect_capture(parked, Segment(0.0, 5.0, x_e, v_e), 0.25) == 3.2991540650697506
         cfg = GameConfig(nu=0.5, r_cap=0.25, x_p0=Vec2(0.0, 0.0), x_e0=x_e, t_f=5.0, n=0,
                          phi=PayoffSpec("hinge", 0.25))
-        outcome = simulate(cfg, EndpointDeviationPursuer(0.0, 0.0),
-                           ScriptedEvader([(5.0, v_e)])).outcome
+        outcome = simulate(cfg, ScriptedPursuer(), ScriptedEvader([(5.0, v_e)])).outcome
         assert outcome.captured
         assert outcome.capture_time == 3.2991540650697506
 
@@ -465,17 +463,27 @@ def _count_simulate_calls(monkeypatch) -> list:
     return calls
 
 
-# One member of every pursuer family the evader suite enumerates against;
-# the out-of-reach endpoint raises on every branch.
+# One member of every pursuer family the evader suite enumerates against,
+# built for a config; the over-cap script (a run to (4, 4) in unit time)
+# raises on every branch.
 _PURSUER_FAMILIES = {
-    "thm1": WaitingPursuer(),
-    "prop1": ArrivalSensingPursuer(),
-    "aleem": SelfTriggeredPursuer(),
-    "endpoint": EndpointDeviationPursuer(1.0, 0.3),
-    "endpoint_out_of_reach": EndpointDeviationPursuer(4.0, 4.0),
-    "first_leg": FirstLegDeviationPursuer(0.2, 0.8),
-    "early_wait": EarlyWaitPursuer(0.5),
+    "thm1": lambda cfg: WaitingPursuer(),
+    "prop1": lambda cfg: ArrivalSensingPursuer(),
+    "aleem": lambda cfg: SelfTriggeredPursuer(),
+    "endpoint": lambda cfg: _endpoint_run(cfg, 1.0, 0.3),
+    "endpoint_out_of_reach": lambda cfg: ScriptedPursuer([(1.0, Vec2(4.0, 4.0))]),
+    "first_leg": lambda cfg: _first_leg(cfg, 0.2, 0.8),
+    "early_wait": lambda cfg: _early_sense(cfg, 0.5),
 }
+
+
+def _built(make, config, *args):
+    """``make(config, *args)``, or None where that endpoint run is out of reach."""
+    try:
+        return make(config, *args)
+    except ValueError as exc:
+        assert "beyond reach" in str(exc)
+        return None
 
 
 class TestExpectations:
@@ -513,19 +521,21 @@ class TestExpectations:
 
     def test_leaf_expectation_beyond_the_tuple_cap(self, monkeypatch):
         # never senses, so two leaves at depth 1 whatever the budget
-        pursuer = EndpointDeviationPursuer(1.0, 0.3)
-        small = exact_expected_payoff(make_config(n=1), pursuer)
+        cfg = make_config(n=1)
+        small = exact_expected_payoff(cfg, _endpoint_run(cfg, 1.0, 0.3))
         calls = _count_simulate_calls(monkeypatch)
         for n in (20, 30):
             calls[0] = 0
-            assert exact_expected_payoff(make_config(n=n), pursuer) == small
+            cfg = make_config(n=n)
+            assert exact_expected_payoff(cfg, _endpoint_run(cfg, 1.0, 0.3)) == small
             assert calls[0] == 2
 
     @pytest.mark.parametrize("n", range(5))
     @pytest.mark.parametrize("t_f", (2.0, 5.0))
     @pytest.mark.parametrize("family", sorted(_PURSUER_FAMILIES))
     def test_tree_matches_product_reference(self, family, t_f, n):
-        _assert_matches_product_reference(make_config(n=n, t_f=t_f), _PURSUER_FAMILIES[family])
+        cfg = make_config(n=n, t_f=t_f)
+        _assert_matches_product_reference(cfg, _PURSUER_FAMILIES[family](cfg))
 
     @given(
         nu=st.floats(0.2, 0.9),
@@ -533,28 +543,32 @@ class TestExpectations:
         angle=st.floats(0.0, 2.0 * math.pi),
         t_f=st.floats(0.0, 6.0),
         n=st.integers(0, 4),
-        pursuer=st.one_of(
-            st.sampled_from([WaitingPursuer(), ArrivalSensingPursuer(),
-                             SelfTriggeredPursuer()]),
-            st.builds(EndpointDeviationPursuer, st.floats(-1.0, 6.0), st.floats(-3.0, 3.0)),
-            st.builds(FirstLegDeviationPursuer, st.floats(-1.0, 1.0), st.floats(0.0, 1.0)),
-            st.builds(EarlyWaitPursuer, st.floats(0.01, 5.0)),
+        deviation=st.one_of(
+            st.tuples(st.sampled_from([lambda cfg: WaitingPursuer(),
+                                       lambda cfg: ArrivalSensingPursuer(),
+                                       lambda cfg: SelfTriggeredPursuer()])),
+            st.tuples(st.just(_endpoint_run), st.floats(-1.0, 6.0), st.floats(-3.0, 3.0)),
+            st.tuples(st.just(_first_leg), st.floats(-1.0, 1.0), st.floats(0.0, 1.0)),
+            st.tuples(st.just(_early_sense), st.floats(0.01, 5.0)),
         ),
     )
-    def test_tree_matches_product_property(self, nu, rho, angle, t_f, n, pursuer):
+    def test_tree_matches_product_property(self, nu, rho, angle, t_f, n, deviation):
         cfg = GameConfig(
             nu=nu, r_cap=0.1, x_p0=Vec2(0.0, 0.0),
             x_e0=Vec2(rho * math.cos(angle), rho * math.sin(angle)),
             t_f=t_f, n=n, phi=PayoffSpec("hinge", 0.1),
         )
-        _assert_matches_product_reference(cfg, pursuer)
+        builder, *args = deviation
+        pursuer = _built(builder, cfg, *args)
+        if pursuer is not None:
+            _assert_matches_product_reference(cfg, pursuer)
 
     def test_enumeration_simulates_only_read_prefixes(self, monkeypatch):
         calls = _count_simulate_calls(monkeypatch)
         cfg = make_config(n=4)
         assert value_bound(1.0, 5.0, 4, cfg.phi, cfg.nu).case_tag == "wait_region"
         # never senses, so only thetas[0] is read: one game per orientation
-        payoffs = enumerate_branch_payoffs(cfg, EndpointDeviationPursuer(1.0, 0.3))
+        payoffs = enumerate_branch_payoffs(cfg, _endpoint_run(cfg, 1.0, 0.3))
         assert len(payoffs) == 2**5
         assert calls[0] == 2
         calls[0] = 0
@@ -566,8 +580,9 @@ class TestExpectations:
         # one event per game: the -1 branch resumes at it with the action the
         # +1 game's pursuer query gave, so one query serves both games
         calls = _count_simulate_calls(monkeypatch)
-        pursuer = _CountingPursuer(EndpointDeviationPursuer(1.0, 0.3))
-        exact_expected_payoff(make_config(n=4), pursuer)
+        cfg = make_config(n=4)
+        pursuer = _CountingPursuer(_endpoint_run(cfg, 1.0, 0.3))
+        exact_expected_payoff(cfg, pursuer)
         assert pursuer.calls == 1
         assert calls[0] == 2
 
@@ -601,7 +616,9 @@ class TestExpectations:
             x_e0=Vec2(rho * math.cos(angle), rho * math.sin(angle)),
             t_f=t_f, n=n, phi=PayoffSpec("hinge", 0.1),
         )
-        pursuer = _PURSUER_FAMILIES[family]
+        pursuer = _built(_PURSUER_FAMILIES[family], cfg)
+        if pursuer is None:
+            return  # the run cannot be built, so no game is played
         real_simulate = engine.simulate
         games = []  # (played leaf, its replay from t = 0, whether it resumed)
 

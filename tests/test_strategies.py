@@ -16,10 +16,12 @@ from intermittent_pursuit import (
     EquilibriumEvader,
     EvaderInfo,
     EVADER_NAMES,
+    PursuerAction,
     PursuerInfo,
     PURSUER_NAMES,
     RadialEvader,
     ScriptedEvader,
+    ScriptedPursuer,
     SelfTriggeredPursuer,
     SensingLog,
     Vec2,
@@ -299,6 +301,56 @@ class TestEvaders:
         fast = ScriptedEvader([(1.0, Vec2(0.5, 0.0))])
         with pytest.raises(ValueError, match="exceeds"):
             simulate(cfg, WaitingPursuer(), fast)
+
+
+class TestScriptedPursuer:
+    def test_legs_then_fixes_then_hand_off(self):
+        cfg = make_config()  # n = 2
+        legs = [(1.0, Vec2(0.0, 0.5)), (2.0, Vec2(0.5, 0.0))]
+        script = ScriptedPursuer(legs, (3.0, 4.0), WaitingPursuer())
+        assert script.act(pursuer_info(cfg, t=0.0)) == PursuerAction(Vec2(0.0, 0.5), review_at=1.0)
+        assert script.act(pursuer_info(cfg, t=1.0)) == PursuerAction(Vec2(0.5, 0.0), review_at=2.0)
+        # legs played: park until fix k is due at sense_at[k], then take it
+        log = SensingLog.initial(cfg)
+        assert script.act(pursuer_info(cfg, t=2.0, log=log)) == PursuerAction(review_at=3.0)
+        assert script.act(pursuer_info(cfg, t=3.0, log=log)) == PursuerAction(sense_now=True)
+        log = log.record(3.0, cfg.x_e0, Vec2(1.0, 0.5))
+        assert script.act(pursuer_info(cfg, t=3.0, log=log)) == PursuerAction(review_at=4.0)
+        assert script.act(pursuer_info(cfg, t=4.0, log=log)).sense_now
+        # every listed fix taken: the hand-off answers, for the same info
+        log = log.record(4.0, cfg.x_e0, Vec2(1.0, 0.5))
+        info = pursuer_info(cfg, t=4.0, own=Vec2(1.0, 0.5), log=log)
+        assert script.act(info) == WaitingPursuer().act(info)
+
+    def test_without_a_hand_off_it_parks(self):
+        cfg = make_config(n=0)
+        script = ScriptedPursuer([(1.0, Vec2(0.0, 1.0))])
+        assert script.act(pursuer_info(cfg, t=1.0)) == PursuerAction()
+        assert ScriptedPursuer().act(pursuer_info(cfg)) == PursuerAction()
+        result = simulate(cfg, script, ScriptedEvader(()))
+        assert result.outcome.sensing_times == ()
+        assert result.pursuer_trajectory.end_position == Vec2(0.0, 1.0)
+
+    def test_leg_validation(self):
+        # the same check as the evader script's: finite, positive, increasing
+        for legs in ([(0.0, Vec2(0, 0))], [(1.0, Vec2(0, 0)), (1.0, Vec2(0, 0))],
+                     [(math.inf, Vec2(0, 0))], [(math.nan, Vec2(0, 0))]):
+            for script in (ScriptedPursuer, ScriptedEvader):
+                with pytest.raises(ValueError, match="positive and increasing"):
+                    script(legs)
+        with pytest.raises(ValueError, match="must be a number"):
+            ScriptedPursuer([("1", Vec2(0, 0))])
+        # a leg meets the speed cap only in play
+        fast = ScriptedPursuer([(1.0, Vec2(1.5, 0.0))])
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            simulate(make_config(), fast, ScriptedEvader(()))
+
+    def test_fixes_are_taken_at_the_listed_instants(self):
+        cfg = make_config(rho0=3.0, t_f=5.0, n=2)
+        script = ScriptedPursuer([(0.5, Vec2(1.0, 0.0))], (1.25, 2.5))
+        result = simulate(cfg, script, ScriptedEvader(()))
+        assert result.outcome.sensing_times == (1.25, 2.5)
+        assert result.pursuer_trajectory.end_position == Vec2(0.5, 0.0)
 
 
 class TestRandomStreams:

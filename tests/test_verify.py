@@ -5,7 +5,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from intermittent_pursuit import (
@@ -13,9 +13,6 @@ from intermittent_pursuit import (
     PursuerAction,
     ArrivalSensingPursuer,
     ContinuousPursuer,
-    EarlyWaitPursuer,
-    EndpointDeviationPursuer,
-    FirstLegDeviationPursuer,
     GameConfig,
     PayoffSpec,
     RadialEvader,
@@ -41,8 +38,10 @@ from intermittent_pursuit import (
     simulate,
     trial_rng,
 )
-from intermittent_pursuit import engine, verify
-from intermittent_pursuit.verify import _radial_speed_at_capture
+from intermittent_pursuit import engine, sensing_delay, verify
+from intermittent_pursuit.core import before, exceeds, line_of_sight, perpendicular
+from intermittent_pursuit.verify import (_early_sense, _endpoint_run, _first_leg,
+                                         _radial_speed_at_capture, _rotated)
 from conftest import CrookedHeading, Speeder, make_config
 
 
@@ -74,10 +73,88 @@ class TestReport:
         assert report.passed is (count == 0)
 
 
+# Longhand references: the evader suite's deviations as the classes they
+# were before they became scripts.  Each computes every action afresh from
+# its info.
+class EndpointReference:
+    def __init__(self, alpha1, alpha2):
+        self.alpha1, self.alpha2 = float(alpha1), float(alpha2)
+
+    def act(self, info):
+        cfg = info.config
+        bearing = line_of_sight(cfg.x_p0, cfg.x_e0)
+        offset = bearing * self.alpha1 + perpendicular(bearing, 1) * self.alpha2
+        length = offset.norm()
+        if length == 0.0:
+            return PursuerAction()
+        if exceeds(length, cfg.t_f):
+            raise ValueError(f"endpoint offset {length} is beyond reach {cfg.t_f}")
+        return PursuerAction(offset * (1.0 / length) * min(length / cfg.t_f, 1.0))
+
+
+class EarlyWaitReference(WaitingPursuer):
+    def __init__(self, sense_time):
+        if not sense_time > 0:
+            raise ValueError(f"sense_time must be positive, got {sense_time}")
+        self.sense_time = float(sense_time)
+
+    def act(self, info):
+        if len(info.log.times) > 1 or info.log.budget_remaining == 0:
+            return super().act(info)
+        if not before(info.time, self.sense_time):
+            return PursuerAction(sense_now=True)
+        _, anchor_e, _, _ = info.log.anchor()
+        remaining = info.own.dist(anchor_e)
+        if remaining > CHECK_TOL:
+            arrive = info.time + remaining
+            return PursuerAction(line_of_sight(info.own, anchor_e),
+                                 review_at=min(arrive, self.sense_time))
+        return PursuerAction(review_at=self.sense_time)
+
+
+class FirstLegReference(WaitingPursuer):
+    def __init__(self, angle, gamma):
+        if not 0.0 <= gamma <= 1.0:
+            raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+        self.angle, self.gamma = float(angle), float(gamma)
+
+    def act(self, info):
+        if len(info.log.times) > 1:
+            return super().act(info)
+        cfg = info.config
+        walk_end = min(cfg.initial_distance, cfg.t_f)
+        ell = info.log.budget_remaining
+        t_sense = sensing_delay(cfg.nu, ell, cfg.t_f)
+        if before(info.time, walk_end) and self.gamma > 0.0:
+            bearing = line_of_sight(cfg.x_p0, cfg.x_e0)
+            return PursuerAction(_rotated(bearing, self.angle) * self.gamma,
+                                 review_at=walk_end)
+        if ell == 0:
+            return PursuerAction()
+        if before(info.time, t_sense):
+            return PursuerAction(review_at=t_sense)
+        return PursuerAction(sense_now=True)
+
+
+def _leaves_or_error(config, make):
+    """``engine._leaves`` of the pursuer ``make()`` builds, or the type of what either raised."""
+    try:
+        return engine._leaves(config, make())
+    except Exception as exc:  # the comparison is on the exception type
+        return type(exc)
+
+
+_SCRIPTS = {
+    "endpoint": (_endpoint_run, EndpointReference),
+    "early_sense": (_early_sense, EarlyWaitReference),
+    "first_leg": (_first_leg, FirstLegReference),
+}
+
+
 class TestDeviationPursuers:
     def test_endpoint_run(self):
         cfg = make_config(t_f=2.0, n=0)
-        pursuer = EndpointDeviationPursuer(0.5, 0.3)
+        pursuer = _endpoint_run(cfg, 0.5, 0.3)
         result = simulate(cfg, pursuer, ScriptedEvader(()))
         assert not result.outcome.captured
         end = result.pursuer_trajectory.end_position
@@ -91,27 +168,77 @@ class TestDeviationPursuers:
     def test_endpoint_out_of_reach(self):
         cfg = make_config(t_f=1.0, n=0)
         with pytest.raises(ValueError, match="beyond reach"):
-            simulate(cfg, EndpointDeviationPursuer(3.0, 0.0), ScriptedEvader(()))
+            _endpoint_run(cfg, 3.0, 0.0)
 
     def test_endpoint_opt_ties_stop_case_bound(self):
         cfg = default_evader_config()
-        expected = exact_expected_payoff(cfg, EndpointDeviationPursuer(1.0, 0.0))
+        expected = exact_expected_payoff(cfg, _endpoint_run(cfg, 1.0, 0.0))
         assert expected == pytest.approx(1.3, rel=1e-9)
 
     def test_early_wait_senses_at_requested_time(self):
         cfg = make_config()  # prescribed first sensing would come at ~2.283
-        result = simulate(cfg, EarlyWaitPursuer(1.5), _equilibrium(cfg))
+        result = simulate(cfg, _early_sense(cfg, 1.5), _equilibrium(cfg))
         assert result.outcome.sensing_times[0] == pytest.approx(1.5, rel=1e-9)
-        with pytest.raises(ValueError):
-            EarlyWaitPursuer(0.0)
+        with pytest.raises(ValueError, match="sense_time must be positive"):
+            _early_sense(cfg, 0.0)
 
     def test_unperturbed_first_leg_matches_prescribed(self):
         cfg = make_config()
         base = exact_expected_payoff(cfg, WaitingPursuer())
-        same = exact_expected_payoff(cfg, FirstLegDeviationPursuer(0.0, 1.0))
+        same = exact_expected_payoff(cfg, _first_leg(cfg, 0.0, 1.0))
         assert same == pytest.approx(base, rel=1e-12)
-        with pytest.raises(ValueError):
-            FirstLegDeviationPursuer(0.0, 1.5)
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            _first_leg(cfg, 0.0, 1.5)
+
+    @pytest.mark.parametrize("rho0, t_f", [(0.0, 2.0), (1.0, 0.0)],
+                             ids=["caught_at_t0", "no_time"])
+    def test_scripts_build_for_games_without_events(self, rho0, t_f):
+        # the deleted classes were never queried here; the scripts build and agree
+        cfg = make_config(rho0=rho0, t_f=t_f, n=1)
+        for builder, args in ((_endpoint_run, (0.0, 0.0)), (_early_sense, (0.5,)),
+                              (_first_leg, (0.2, 0.8))):
+            assert engine._leaves(cfg, builder(cfg, *args)) == engine._leaves(cfg, WaitingPursuer())
+
+    @settings(max_examples=400)
+    @given(
+        kind=st.sampled_from(sorted(_SCRIPTS)),
+        p=st.floats(-1.0, 6.0),
+        q=st.floats(-3.0, 3.0),
+        nu=st.floats(0.2, 0.9),
+        rho=st.floats(0.0, 3.0),
+        angle=st.floats(0.0, 2.0 * math.pi),
+        t_f=st.floats(0.0, 6.0),
+        n=st.integers(0, 4),
+    )
+    @example(kind="early_sense", p=0.5, q=0.0, nu=0.7, rho=1.0, angle=0.0, t_f=5.0, n=0)
+    @example(kind="first_leg", p=4.0, q=0.4, nu=0.7, rho=3.0, angle=1.0, t_f=5.0, n=4)
+    # a leg plays until its end time, but a walk of a rounding step is not taken
+    @example(kind="endpoint", p=5e-14, q=0.0, nu=0.7, rho=1.0, angle=0.0, t_f=1e-13, n=1)
+    @example(kind="first_leg", p=4.0, q=0.0, nu=0.7, rho=1.0, angle=0.0, t_f=1e-13, n=0)
+    @example(kind="early_sense", p=1e-13, q=0.0, nu=0.7, rho=1.0, angle=0.0, t_f=5.0, n=1)
+    def test_scripts_equal_the_deleted_classes_property(self, kind, p, q, nu, rho, angle, t_f, n):
+        """Each builder's script plays the same prefix tree as the class it replaced.
+
+        Where the class raises, the script raises the same error type; a
+        script may raise when it is built where the class, queried only in
+        play, raised nothing because the game plays no event.
+        """
+        cfg = GameConfig(
+            nu=nu, r_cap=0.1, x_p0=Vec2(0.0, 0.0),
+            x_e0=Vec2(rho * math.cos(angle), rho * math.sin(angle)),
+            t_f=t_f, n=n, phi=PayoffSpec("hinge", 0.1),
+        )
+        builder, reference = _SCRIPTS[kind]
+        # the ranges include sense times <= 0 and gammas outside [0, 1], which both reject
+        args = {"endpoint": (p, q), "early_sense": (p,), "first_leg": (q / 2.0, p / 4.0)}[kind]
+        expected = _leaves_or_error(cfg, lambda: reference(*args))
+        try:
+            script = builder(cfg, *args)
+        except ValueError as exc:
+            no_event = not isinstance(expected, type) and [d for _, d in expected] == [0]
+            assert expected is type(exc) or no_event
+            return
+        assert _leaves_or_error(cfg, lambda: script) == expected
 
 
 def _equilibrium(cfg):
@@ -293,6 +420,14 @@ class TestDenseOracle:
         with pytest.raises(ValueError):
             dense_oracle(cfg, WaitingPursuer(), ScriptedEvader(()), dt=0.0)
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, -1.0])
+    def test_rejects_a_step_that_is_not_positive_and_finite(self, dt):
+        cfg = make_config()
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            dense_oracle(cfg, WaitingPursuer(), ScriptedEvader(()), dt=dt)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            oracle_agreement_check(n_scenarios=6, dt=dt)
+
     @settings(max_examples=60)
     @given(nu=st.floats(0.1, 0.9), r_cap=st.floats(0.02, 0.3), rho0=st.floats(0.5, 3.0),
            slack=st.floats(1.05, 2.0), speed=st.floats(0.0, 1.0),
@@ -315,7 +450,7 @@ class TestDenseOracle:
         v_e = Vec2(math.cos(heading), math.sin(heading)) * (speed * nu)
         end = (cfg.x_e0 + v_e * t_f
                + Vec2(math.cos(miss_angle), math.sin(miss_angle)) * (miss * r_cap))
-        pursuer, evader = EndpointDeviationPursuer(end.x, end.y), ScriptedEvader([(t_f, v_e)])
+        pursuer, evader = _endpoint_run(cfg, end.x, end.y), ScriptedEvader([(t_f, v_e)])
         result = simulate(cfg, pursuer, evader)
         assert result.outcome.captured
         assert len(result.pursuer_trajectory.segments) == 1
@@ -361,6 +496,12 @@ class TestRunSuite:
         assert SUITE_NAMES == ("pursuer", "evader", "jensen", "capture_time", "oracle")
         with pytest.raises(ValueError):
             run_suite("nonsense")
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_trials_must_be_positive(self, name):
+        # checked for every suite, also those that ignore trials
+        with pytest.raises(ValueError, match="trials must be positive, got 0"):
+            run_suite(name, trials=0)
 
     def test_jensen_returns_two_reports(self):
         reports = run_suite("jensen", trials=50)
