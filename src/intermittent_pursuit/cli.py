@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import PAYOFF_KINDS, GameConfig, PayoffSpec, RegionNotCoveredError, fmt_g, write_csv
+from .core import (PAYOFF_KINDS, GameConfig, PayoffSpec, RegionNotCoveredError, _fmt_cells,
+                   fmt_g, write_csv)
 from .engine import simulate, write_trajectory_csv
 from .strategies import build_evader, build_pursuer
 from .value import (
@@ -99,10 +100,6 @@ def _write_table(args, config: dict, header: tuple[str, ...], rows) -> int:
     return 0
 
 
-def _bool_str(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
 def cmd_simulate(args) -> int:
     config, pursuer_choice, evader_choice, resolved = _config_from_file(args.config, args.seed)
     try:
@@ -174,11 +171,12 @@ def cmd_value_grid(args) -> int:
     bounds = [value_bound(rho_grid, tau_grid, ell, phi, args.nu) for ell in ells]
     rho_cells = [cell for cell in map(fmt_g, rhos) for _ in taus]
     tau_cells = list(map(fmt_g, taus)) * len(rhos)
+    flag_cells = np.array(("false", "true"), dtype=object)
     rows = itertools.chain.from_iterable(
         zip(rho_cells, tau_cells, itertools.repeat(str(ell)),
-            map(fmt_g, bound.value.ravel().tolist()),
+            _fmt_cells(bound.value),
             bound.case_tag.ravel().tolist(),
-            map(_bool_str, bound.is_tight.ravel().tolist()))
+            flag_cells[bound.is_tight.ravel().astype(np.intp)].tolist())
         for ell, bound in zip(ells, bounds)
     )
     config = {

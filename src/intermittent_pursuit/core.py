@@ -25,8 +25,11 @@ arithmetic*, 1991).  Every tolerance in the package is one of three constants:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "DegenerateDirectionError",
@@ -65,18 +68,36 @@ def fmt_g(value: float) -> str:
     return format(float(value), ".9g")
 
 
+def _fmt_cells(values) -> list[str]:
+    """``fmt_g`` of each element of a float array, flattened, each distinct value formatted once.
+
+    Values are keyed by bit pattern, so ``-0.0`` stays apart from ``0.0`` and
+    each NaN payload is formatted on its own, exactly as ``fmt_g`` would.
+    """
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    texts = np.fromiter(map(fmt_g, bits.view(np.float64)), dtype=object, count=bits.size)
+    return texts[inverse].tolist()
+
+
+_CSV_BLOCK = 1024  # lines per write: few calls, and a block's text stays small next to the rows
+
+
 def write_csv(path, header, rows) -> int:
     """Write the header and rows as comma-joined, CRLF-ended lines; return the row count.
 
     No field is quoted.  Every field the package writes (a ``fmt_g`` number,
     a case tag, ``true``/``false``, an integer or an empty cell) is one that
-    ``csv.writer`` leaves unquoted too, so the bytes are the same.
+    ``csv.writer`` leaves unquoted too, so the bytes are the same.  Lines are
+    written in joined blocks of ``_CSV_BLOCK``.
     """
     count = 0
+    lines = map(",".join, rows)
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
-        for count, row in enumerate(rows, 1):
-            handle.write(",".join(row) + "\r\n")
+        while block := list(itertools.islice(lines, _CSV_BLOCK)):
+            handle.write("\r\n".join(block) + "\r\n")
+            count += len(block)
     return count
 
 

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (ROUND_TOL, TIME_EPS, EnumerationCapError, GameConfig, Vec2,
-                   exceeds, fmt_g, write_csv)
+                   _fmt_cells, exceeds, write_csv)
 from .strategies import (EquilibriumEvader, EvaderInfo, PursuerAction, PursuerInfo, SensingLog,
                          theta_stream)
 
@@ -414,12 +414,16 @@ def write_trajectory_csv(path, result: SimulationResult) -> None:
     """Write both players' motion segments as CSV through ``core.write_csv``.
 
     Columns: player, t_start, t_end, x0, y0, vx, vy.  One row per segment,
-    pursuer rows first, every number through ``fmt_g``.
+    pursuer rows first, every number through ``core._fmt_cells``; each
+    t_end recurs as the next t_start and both players share every time, so
+    most time cells are formatted once.
     """
-    rows = (
-        (player, fmt_g(t0), fmt_g(t1), fmt_g(x0.x), fmt_g(x0.y), fmt_g(v.x), fmt_g(v.y))
-        for player, trajectory in (("pursuer", result.pursuer_trajectory),
-                                   ("evader", result.evader_trajectory))
-        for t0, t1, x0, v in trajectory.segments
-    )
+    players, numbers = [], []
+    for player, trajectory in (("pursuer", result.pursuer_trajectory),
+                               ("evader", result.evader_trajectory)):
+        for t0, t1, x0, v in trajectory.segments:
+            players.append(player)
+            numbers += (t0, t1, x0.x, x0.y, v.x, v.y)
+    cells = _fmt_cells(numbers)
+    rows = zip(players, *(cells[k::6] for k in range(6)))
     write_csv(path, ("player", "t_start", "t_end", "x0", "y0", "vx", "vy"), rows)

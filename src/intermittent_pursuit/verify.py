@@ -256,15 +256,23 @@ def evader_guarantee_check(config: Optional[GameConfig] = None) -> VerificationR
                 skipped += 1
                 continue
             deviations.append((f"endpoint({a1:.6g},{a2:.6g})", _endpoint_run(config, a1, a2)))
-    for angle in (-0.5, -0.2, 0.2, 0.5):
-        for gamma in (0.6, 0.8, 1.0):
-            deviations.append((f"first_leg(angle={angle:.3g},gamma={gamma:.3g})",
-                               _first_leg(config, angle, gamma)))
+    # A deviation whose first fix is not past a rounding step of t = 0 is left
+    # out: it would sense at the start, where the log already holds the free fix.
+    near_start = 0
+    hold = sensing_delay(config.nu, config.n, config.t_f)
+    first_legs = [(angle, gamma) for angle in (-0.5, -0.2, 0.2, 0.5) for gamma in (0.6, 0.8, 1.0)]
+    if config.n >= 1 and not before(0.0, hold):
+        near_start, first_legs = len(first_legs), []
+    for angle, gamma in first_legs:
+        deviations.append((f"first_leg(angle={angle:.3g},gamma={gamma:.3g})",
+                           _first_leg(config, angle, gamma)))
     if config.n >= 1:
         # Try sensing at fractions of the prescribed first hold.
-        hold = sensing_delay(config.nu, config.n, config.t_f)
         for frac in np.linspace(0.15, 0.9, 8):
             t_s = float(frac) * hold
+            if not before(0.0, t_s):
+                near_start += 1
+                continue
             deviations.append((f"early_sense({t_s:.6g})", _early_sense(config, t_s)))
     deviations.append(("prescribed", WaitingPursuer()))
 
@@ -298,6 +306,8 @@ def evader_guarantee_check(config: Optional[GameConfig] = None) -> VerificationR
         notes.append(f"prescribed pursuer E[payoff] - bound = {prescribed_gap:.3g}")
     if skipped:
         notes.append(f"{skipped} grid points beyond the pursuer's reach skipped")
+    if near_start:
+        notes.append(f"{near_start} deviations with a fix within a rounding step of t = 0 skipped")
     return VerificationReport("evader", len(deviations), worst, tuple(failures), tuple(notes))
 
 

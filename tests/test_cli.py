@@ -7,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from intermittent_pursuit import DegradationReport, GameConfig, cli
+from intermittent_pursuit import DegradationReport, GameConfig, PayoffSpec, cli, core, value_bound
 from intermittent_pursuit.cli import main
 from conftest import default_config_payload
 
@@ -262,6 +263,35 @@ class TestValueGrid:
         assert flag in err and value in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_value_cells_format_each_distinct_number_once(self, tmp_path, monkeypatch):
+        """``fmt_g`` is called once per distinct value bit pattern of each ell's table,
+        plus once per rho and per tau.
+
+        Formatting every cell on its own again fails this.
+        """
+        calls = 0
+        fmt_g = core.fmt_g
+
+        def counting_fmt_g(value):
+            nonlocal calls
+            calls += 1
+            return fmt_g(value)
+
+        # the grid as the CLI spaces it
+        rhos, taus = (np.array([hi * i / 39 for i in range(40)]) for hi in (3.0, 6.0))
+        distinct = sum(
+            np.unique(value_bound(rhos[:, None], taus[None, :], ell, PayoffSpec("hinge", 0.1),
+                                  0.7).value.view(np.uint64)).size
+            for ell in range(5))
+        monkeypatch.setattr(core, "fmt_g", counting_fmt_g)
+        monkeypatch.setattr(cli, "fmt_g", counting_fmt_g)
+        code = main(["value-grid", "--nu", "0.7", "--r-cap", "0.1", "--rho-max", "3",
+                     "--tau-max", "6", "--rho-steps", "40", "--tau-steps", "40",
+                     "--ell", "0:4", "--out", str(tmp_path / "grid.csv")])
+        assert code == 0
+        assert len((tmp_path / "grid.csv").read_text().splitlines()) == 1 + 40 * 40 * 5
+        assert 0 < calls <= distinct + 40 + 40
+
 
 class TestCompareNmax:
     def test_frozen_rows(self, tmp_path, capsys):
@@ -374,6 +404,17 @@ class TestVerify:
         code, out, err = run_cli("verify", suite, "--trials", trials, capsys=capsys)
         assert code == 2 and out == ""
         assert err == f"error: trials must be positive, got {trials}\n"
+
+    @pytest.mark.parametrize("t_f", [0.0, 1e-13])
+    def test_evader_skips_a_fix_at_the_start(self, t_f, config_json, capsys):
+        """A tight state whose first fix falls within a rounding step of t = 0 still reports."""
+        config = config_json(default_config_payload(t_f=t_f, n=2))
+        code, out, err = run_cli("verify", "evader", "--config", config, capsys=capsys)
+        assert code == 0
+        report, = json.loads(out)
+        assert report["passed"] is True
+        assert "20 deviations with a fix within a rounding step of t = 0 skipped" in report["notes"]
+        assert "evader: PASS" in err
 
     def test_oracle_rejects_an_infinite_step(self, capsys):
         code, out, err = run_cli("verify", "oracle", "--trials", "200", "--dt", "inf",

@@ -1,9 +1,12 @@
 """Unit tests for geometric primitives, payoffs, and game configuration."""
 
+import csv
 import math
 import pickle
+import struct
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from intermittent_pursuit import (
     line_of_sight,
     perpendicular,
 )
+from intermittent_pursuit import core
 from conftest import default_config_payload, make_config
 
 
@@ -195,3 +199,42 @@ def test_fmt_g_renders_nine_significant_digits():
     assert fmt_g(0.6831050228310501) == "0.683105023"
     assert fmt_g(1.0) == "1"
     assert fmt_g(16.43597854665) == "16.4359785"
+
+
+# NaNs of either sign with any payload, built from their bits
+NANS = st.builds(
+    lambda sign, payload: struct.unpack("<d", struct.pack("<Q", sign << 63 | 0x7FF << 52
+                                                          | payload))[0],
+    st.integers(0, 1), st.integers(1, 2**52 - 1),
+)
+CELL_FLOATS = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 1e308, -1e308]),
+    NANS,
+)
+
+
+@given(st.integers(0, 5), st.integers(0, 7), st.booleans(), st.data())
+def test_fmt_cells_matches_fmt_g_property(rows, cols, flat, data):
+    """Each cell is ``fmt_g`` of its element, signed zeros and NaN payloads included."""
+    values = data.draw(st.lists(CELL_FLOATS, min_size=rows * cols, max_size=rows * cols))
+    a = np.array(values, dtype=np.float64).reshape((rows * cols,) if flat else (rows, cols))
+    assert core._fmt_cells(a) == [fmt_g(x) for x in a.ravel().tolist()]
+
+
+BLOCK = core._CSV_BLOCK
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_write_csv_across_blocks(n_rows, tmp_path):
+    """Rows split into joined blocks write what ``csv.writer`` writes."""
+    rows = [(str(i), fmt_g(i / 7)) for i in range(n_rows)]
+    if rows:
+        rows[n_rows // 2] = ()
+    path = tmp_path / "table.csv"
+    assert core.write_csv(path, ("i", "x"), iter(rows)) == n_rows
+    with open(tmp_path / "longhand.csv", "w", newline="") as handle:
+        csv.writer(handle).writerows([("i", "x")] + rows)
+    assert path.read_bytes() == (tmp_path / "longhand.csv").read_bytes()
