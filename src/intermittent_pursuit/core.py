@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,26 +118,36 @@ class RegionNotCoveredError(ValueError):
     """A closed-form result was queried outside its region of validity."""
 
 
-@dataclass(frozen=True, slots=True)
-class Vec2:
-    """Immutable planar vector of float components; it checks nothing (see above)."""
+_new = tuple.__new__  # builds a Vec2 from a float pair without the generated __new__
+
+
+class Vec2(NamedTuple):
+    """Immutable planar vector of float components; it checks nothing (see above).
+
+    A tuple: ``x, y = v`` unpacks it and it equals the plain tuple ``(x, y)``,
+    but ``+``, ``-`` and ``*`` act on it as a vector.  ``__array_ufunc__`` is
+    None so that numpy leaves ``np.float64(k) * v`` to ``__rmul__`` instead of
+    reading ``v`` as an array.
+    """
 
     x: float
     y: float
 
+    __array_ufunc__ = None
+
     def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
+        return _new(Vec2, (self.x + other.x, self.y + other.y))
 
     def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
+        return _new(Vec2, (self.x - other.x, self.y - other.y))
 
     def __mul__(self, k: float) -> "Vec2":
-        return Vec2(self.x * k, self.y * k)
+        return _new(Vec2, (self.x * k, self.y * k))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
+        return _new(Vec2, (-self.x, -self.y))
 
     def dot(self, other: "Vec2") -> float:
         return self.x * other.x + self.y * other.y
@@ -288,7 +299,7 @@ def line_of_sight(x_p: Vec2, x_e: Vec2) -> Vec2:
     if norm == 0.0:
         raise DegenerateDirectionError("line of sight undefined for coincident points")
     k = 1.0 / norm
-    return Vec2(dx * k, dy * k)
+    return _new(Vec2, (dx * k, dy * k))
 
 
 def perpendicular(r: Vec2, orientation: int) -> Vec2:
@@ -300,4 +311,4 @@ def perpendicular(r: Vec2, orientation: int) -> Vec2:
         raise ValueError(f"orientation must be +1 or -1, got {orientation!r}")
     if not abs(r.norm() - 1.0) <= CHECK_TOL:
         raise ValueError(f"r must be a unit vector, got norm {r.norm()}")
-    return Vec2(-r.y * orientation, r.x * orientation)
+    return _new(Vec2, (-r.y * orientation, r.x * orientation))

@@ -28,7 +28,6 @@ is sound only because strategies are pure (see the strategies module).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -74,8 +73,7 @@ class Segment(NamedTuple):
         return self.position_at(self.t_end)
 
 
-@dataclass(frozen=True, slots=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Contiguous chain of segments for one player, starting at time 0.
 
     ``simulate`` chains the segments exactly (each starts at the previous
@@ -95,8 +93,7 @@ class Trajectory:
         return sum(s.velocity.norm() * (s.t_end - s.t_start) for s in self.segments)
 
 
-@dataclass(frozen=True, slots=True)
-class Outcome:
+class Outcome(NamedTuple):
     """Terminal result of one game; ``capture_time`` is None when the evader escapes."""
 
     capture_time: Optional[float]
@@ -118,8 +115,7 @@ class Outcome:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     outcome: Outcome
     pursuer_trajectory: Trajectory
     evader_trajectory: Trajectory
@@ -341,7 +337,7 @@ def _leaves(config: GameConfig, pursuer) -> list[tuple[float, int]]:
                                           f"has more; the cap is 2^{_ENUMERATION_CAP}")
             played += 1
             padded = prefix + (1,) * (draws - depth)
-            result = simulate(config, pursuer, EquilibriumEvader(padded), _fork=fork)
+            result = simulate(config, pursuer, EquilibriumEvader._trusted(padded), _fork=fork)
             game = result.outcome.payoff, fork[1]
         payoff, points = game
         if depth >= min(len(points), draws):

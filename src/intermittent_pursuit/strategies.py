@@ -24,13 +24,12 @@ reserved for the full-information baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import (CHECK_TOL, BudgetViolationError, GameConfig, Vec2, _number, _vec_from,
-                   before, line_of_sight, perpendicular)
+from .core import (CHECK_TOL, BudgetViolationError, DegenerateDirectionError, GameConfig, Vec2,
+                   _number, _vec_from, before, line_of_sight)
 from .value import holds_at_fix, sensing_delay, trigger_coefficient
 
 __all__ = [
@@ -55,8 +54,14 @@ __all__ = [
     "build_evader",
 ]
 
-@dataclass(frozen=True, slots=True)
-class SensingLog:
+class _LogColumns(NamedTuple):
+    times: tuple[float, ...]
+    sensed_positions: tuple[Vec2, ...]
+    pursuer_positions: tuple[Vec2, ...]
+    budget_remaining: int
+
+
+class SensingLog(_LogColumns):
     """History of sensor fixes, shared by both information sets.
 
     ``times[0]`` is always 0: the initial evader position is free.  Each
@@ -64,37 +69,37 @@ class SensingLog:
     instants ride along because both players can reconstruct them anyway
     (the pursuer knows its own path; the evader watches the pursuer), and
     the anchor separation they encode is what the strategies steer by.
+
+    A tuple.  Direct construction checks the whole log; ``initial`` and
+    ``record`` build valid logs and check only what a new entry can break.
     """
 
-    times: tuple[float, ...]
-    sensed_positions: tuple[Vec2, ...]
-    pursuer_positions: tuple[Vec2, ...]
-    budget_remaining: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (len(self.times) == len(self.sensed_positions) == len(self.pursuer_positions)):
+    def __new__(cls, times, sensed_positions, pursuer_positions, budget_remaining):
+        if not (len(times) == len(sensed_positions) == len(pursuer_positions)):
             raise ValueError("log columns must have equal length")
-        if not self.times or self.times[0] != 0.0:
+        if not times or times[0] != 0.0:
             raise ValueError("log must start with the free fix at t = 0")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("fix times must be strictly increasing")
-        if self.budget_remaining < 0:
+        if budget_remaining < 0:
             raise ValueError("budget cannot be negative")
+        return tuple.__new__(cls, (times, sensed_positions, pursuer_positions, budget_remaining))
 
     @classmethod
     def initial(cls, config: GameConfig) -> "SensingLog":
-        return cls((0.0,), (config.x_e0,), (config.x_p0,), config.n)
+        return tuple.__new__(cls, ((0.0,), (config.x_e0,), (config.x_p0,), config.n))
 
     def record(self, t: float, evader: Vec2, pursuer: Vec2) -> "SensingLog":
         """New log with one more fix and one less budget unit."""
-        if self.budget_remaining <= 0:
+        times, sensed, pursuers, budget = self
+        if budget <= 0:
             raise BudgetViolationError(f"sensing requested at t={t} with no budget left")
-        return SensingLog(
-            self.times + (t,),
-            self.sensed_positions + (evader,),
-            self.pursuer_positions + (pursuer,),
-            self.budget_remaining - 1,
-        )
+        if t <= times[-1]:
+            raise ValueError("fix times must be strictly increasing")
+        return tuple.__new__(SensingLog, (times + (t,), sensed + (evader,),
+                                          pursuers + (pursuer,), budget - 1))
 
     def anchor(self) -> tuple[float, Vec2, Vec2, float]:
         """Latest fix as (time, evader position, pursuer position, separation)."""
@@ -286,21 +291,39 @@ class EquilibriumEvader:
                 raise ValueError(f"thetas must be +1/-1 integers, got {thetas}")
         self.thetas = thetas
 
+    @classmethod
+    def _trusted(cls, thetas: tuple[int, ...]) -> "EquilibriumEvader":
+        """An evader on a tuple of +1/-1 ints the caller built, not checked again."""
+        evader = cls.__new__(cls)
+        evader.thetas = thetas
+        return evader
+
     def act(self, info: EvaderInfo) -> EvaderAction:
-        anchor_t, anchor_e, anchor_p, rho = info.log.anchor()
-        cfg = info.config
-        tau = cfg.t_f - anchor_t
-        ell = info.log.budget_remaining
-        bearing = line_of_sight(anchor_p, anchor_e)
-        terminal = (ell == 0 and tau <= rho) or (ell >= 1 and tau < rho)
-        if terminal:
-            return EvaderAction(bearing * cfg.nu)
-        interval = len(info.log.times) - 1
+        # One float pass over the latest fix: hypot ignores sign, so the
+        # separation is anchor()'s and the bearing is line_of_sight's, and the
+        # velocities are perpendicular(bearing, theta) * nu and bearing * nu.
+        log, cfg = info.log, info.config
+        times = log.times
+        px, py = log.pursuer_positions[-1]
+        ex, ey = log.sensed_positions[-1]
+        dx, dy = ex - px, ey - py
+        rho = math.hypot(dx, dy)
+        if rho == 0.0:
+            raise DegenerateDirectionError("line of sight undefined for coincident points")
+        k = 1.0 / rho
+        bx, by = dx * k, dy * k
+        tau = cfg.t_f - times[-1]
+        ell = log.budget_remaining
+        nu = cfg.nu
+        if (ell == 0 and tau <= rho) or (ell >= 1 and tau < rho):  # terminal interval
+            return EvaderAction(Vec2(bx * nu, by * nu))
+        interval = len(times) - 1
         if interval >= len(self.thetas):
             raise ValueError(
                 f"theta stream exhausted: interval {interval}, only {len(self.thetas)} draws"
             )
-        return EvaderAction(perpendicular(bearing, self.thetas[interval]) * cfg.nu)
+        theta = self.thetas[interval]
+        return EvaderAction(Vec2(-by * theta * nu, bx * theta * nu))
 
 
 class ScriptedEvader:
@@ -445,9 +468,17 @@ def build_evader(selector, config: GameConfig):
         thetas = params.get("thetas")
         if thetas is None:
             thetas = _LazyThetas(config.seed, 0, config.n + 1)
+        elif not isinstance(thetas, (list, tuple)):
+            raise ValueError(f"thetas must be a list of +1/-1 integers, got {thetas!r}")
         return EquilibriumEvader(thetas)
     if cls is ScriptedEvader:
         if "legs" not in params:
             raise ValueError("scripted evader needs a 'legs' list of [t_end, [vx, vy]] pairs")
-        return ScriptedEvader([(t, _vec_from(v, "leg velocity")) for t, v in params["legs"]])
+        legs = params["legs"]
+        if not isinstance(legs, (list, tuple)):
+            raise ValueError(f"legs must be a list of [t_end, [vx, vy]] pairs, got {legs!r}")
+        for k, leg in enumerate(legs):
+            if not (isinstance(leg, (list, tuple)) and len(leg) == 2):
+                raise ValueError(f"legs[{k}] must be a pair [t_end, [vx, vy]], got {leg!r}")
+        return ScriptedEvader([(t, _vec_from(v, "leg velocity")) for t, v in legs])
     return cls(**params)

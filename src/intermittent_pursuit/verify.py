@@ -92,16 +92,24 @@ def _rotated(v: Vec2, angle: float) -> Vec2:
     return Vec2(c * v.x - s * v.y, s * v.x + c * v.y)
 
 
-def _endpoint_run(config: GameConfig, alpha1: float, alpha2: float) -> ScriptedPursuer:
+def _initial_axes(config: GameConfig) -> tuple[Vec2, Vec2]:
+    """The initial pursuer-to-evader bearing and its counterclockwise perpendicular."""
+    bearing = line_of_sight(config.x_p0, config.x_e0)
+    return bearing, perpendicular(bearing, 1)
+
+
+def _endpoint_run(config: GameConfig, alpha1: float, alpha2: float,
+                  axes: Optional[tuple[Vec2, Vec2]] = None) -> ScriptedPursuer:
     """One-speed run over the whole horizon, never sensing, to an offset within reach t_f.
 
     The offset is ``alpha1`` along the initial pursuer-to-evader bearing
-    plus ``alpha2`` perpendicular to it.
+    plus ``alpha2`` perpendicular to it; ``axes``, when given, is
+    ``_initial_axes(config)``, so a grid of runs computes it once.
     """
     if config.initial_distance == 0.0:
         return ScriptedPursuer()  # caught at t = 0, before any query; no bearing
-    bearing = line_of_sight(config.x_p0, config.x_e0)
-    offset = bearing * float(alpha1) + perpendicular(bearing, 1) * float(alpha2)
+    bearing, across = axes or _initial_axes(config)
+    offset = bearing * float(alpha1) + across * float(alpha2)
     length = offset.norm()
     if length == 0.0:
         return ScriptedPursuer()
@@ -249,13 +257,15 @@ def evader_guarantee_check(config: Optional[GameConfig] = None) -> VerificationR
 
     deviations: list[tuple[str, object]] = []
     skipped = 0
+    axes = _initial_axes(config) if rho0 > 0.0 else None
     alpha2_values = np.linspace(-config.t_f / 2.0, config.t_f / 2.0, 50).tolist()
     for a1 in np.linspace(0.0, config.t_f, 50).tolist():
         for a2 in alpha2_values:
             if exceeds(math.hypot(a1, a2), config.t_f):
                 skipped += 1
                 continue
-            deviations.append((f"endpoint({a1:.6g},{a2:.6g})", _endpoint_run(config, a1, a2)))
+            deviations.append((f"endpoint({a1:.6g},{a2:.6g})",
+                               _endpoint_run(config, a1, a2, axes)))
     # A deviation whose first fix is not past a rounding step of t = 0 is left
     # out: it would sense at the start, where the log already holds the free fix.
     near_start = 0
@@ -281,7 +291,7 @@ def evader_guarantee_check(config: Optional[GameConfig] = None) -> VerificationR
     check_optimum = (config.n == 0 and config.t_f >= rho0 * (1.0 - ROUND_TOL)
                      and not exceeds(rho0, config.t_f))
     if check_optimum:
-        deviations.append(("endpoint_opt", _endpoint_run(config, rho0, 0.0)))
+        deviations.append(("endpoint_opt", _endpoint_run(config, rho0, 0.0, axes)))
 
     worst = -math.inf
     min_payoff = math.inf

@@ -147,12 +147,16 @@ class TestSimulate:
     @pytest.mark.parametrize("overrides, message", [
         ({"evader": {"name": "scripted", "legs": [[1, 5]]}},
          "leg velocity must be a pair [x, y], got 5"),
-        ({"evader": {"name": "scripted", "legs": 3}}, "'int' object is not iterable"),
+        ({"evader": {"name": "scripted", "legs": 3}},
+         "legs must be a list of [t_end, [vx, vy]] pairs, got 3"),
+        ({"evader": {"name": "scripted", "legs": [[1]]}},
+         "legs[0] must be a pair [t_end, [vx, vy]], got [1]"),
         ({"evader": {"name": "radial", "review_dt": "0.1"}},
          "review_dt must be a number, got '0.1'"),
         ({"pursuer": {"name": "continuous", "review_dt": None}},
          "review_dt must be a number, got None"),
-        ({"evader": {"name": "equilibrium", "thetas": 5}}, "'int' object is not iterable"),
+        ({"evader": {"name": "equilibrium", "thetas": 5}},
+         "thetas must be a list of +1/-1 integers, got 5"),
         ({"evader": {"name": "equilibrium", "thetas": [1.9, -1]}},
          "thetas must be +1/-1 integers, got (1.9, -1)"),
         ({"nu": [0.7]}, "nu must be a number, got [0.7]"),
@@ -168,8 +172,8 @@ class TestSimulate:
         ({"evader": {"name": "scripted", "legs": [["1", [0, 0]]]}},
          "leg end time must be a number, got '1'"),
         ({"t_f": 10 ** 400}, "t_f is too large for a float"),  # float() overflows
-    ], ids=["leg", "legs", "review_dt_str", "review_dt_null", "thetas_int", "thetas_float",
-            "nu_list", "x_p0_null", "x_p0_short", "phi_str", "nu_str", "t_f_bool",
+    ], ids=["leg", "legs", "leg_short", "review_dt_str", "review_dt_null", "thetas_int",
+            "thetas_float", "nu_list", "x_p0_null", "x_p0_short", "phi_str", "nu_str", "t_f_bool",
             "x_e0_str", "review_dt_bool", "leg_end_str", "t_f_huge"])
     def test_malformed_config_value_is_config_error(self, overrides, message, config_json,
                                                     capsys):

@@ -1,6 +1,7 @@
 """Unit tests for geometric primitives, payoffs, and game configuration."""
 
 import csv
+import json
 import math
 import pickle
 import struct
@@ -47,9 +48,35 @@ class TestVec2:
             v.x = 3.0
 
     def test_picklable(self):
-        # frozen slotted dataclasses still pickle and compare by value
+        # tuples pickle and compare by value
         v = Vec2(1.5, -2.5)
         assert pickle.loads(pickle.dumps(v)) == v
+
+    def test_numpy_scalar_scales_to_a_vec2(self):
+        # numpy must not read the tuple as an array and return one
+        v = Vec2(1.0, 2.0)
+        for product in (np.float64(2.0) * v, v * np.float64(2.0)):
+            assert type(product) is Vec2
+            assert product == Vec2(2.0, 4.0)
+
+    def test_tuple_operators_act_as_a_vector(self):
+        v, w = Vec2(1.0, 2.0), Vec2(3.0, -1.0)
+        assert v + w == Vec2(4.0, 1.0)  # adds, does not concatenate
+        assert v - w == Vec2(-2.0, 3.0)
+        for scaled in (2 * v, v * 2):  # scales, does not repeat
+            assert type(scaled) is Vec2
+            assert scaled == Vec2(2.0, 4.0)
+        assert type(-v) is Vec2
+
+    def test_reads_as_a_float_pair(self):
+        v = Vec2(1.0, 2.0)
+        x, y = v
+        assert (x, y) == (1.0, 2.0)
+        assert v == (1.0, 2.0)
+        assert hash(v) == hash((1.0, 2.0))
+        assert repr(v) == "Vec2(x=1.0, y=2.0)"
+        assert json.dumps(v) == "[1.0, 2.0]"
+        assert np.asarray(v).tolist() == [1.0, 2.0]
 
 
 class TestPayoffSpec:

@@ -3,6 +3,7 @@
 import csv
 import itertools
 import math
+import pickle
 import sys
 
 import pytest
@@ -79,6 +80,21 @@ class TestSegmentsAndTrajectories:
         traj = Trajectory(Vec2(2.0, 2.0), ())
         assert traj.end_position == Vec2(2.0, 2.0)
         assert traj.path_length() == 0.0
+
+    def test_result_records_are_frozen_values(self):
+        cfg = make_config(rho0=2.0, t_f=3.0, n=1)
+        result = simulate(cfg, WaitingPursuer(), EquilibriumEvader((1, -1)))
+        for record in (result, result.outcome, result.pursuer_trajectory):
+            copy = pickle.loads(pickle.dumps(record))
+            assert type(copy) is type(record) and copy == record
+            assert hash(copy) == hash(record)
+            assert repr(record).startswith(f"{type(record).__name__}(")
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], None)
+        assert repr(result.outcome) == (
+            f"Outcome(capture_time={result.outcome.capture_time!r}, "
+            f"final_distance={result.outcome.final_distance!r}, payoff={result.outcome.payoff!r}, "
+            f"sensing_times={result.outcome.sensing_times!r})")
 
     @settings(max_examples=40)
     @given(
@@ -362,22 +378,34 @@ class TestSimulate:
     def test_engine_builds_two_vec2_per_event(self, monkeypatch):
         """Positions advance in floats: Vec2 arithmetic back in the loop fails this.
 
-        Each construction is charged to the first caller outside ``core``, so
-        ``x_p + v_p * dt`` written in the engine counts as the engine's.
+        Both ways a ``Vec2`` is built are counted: its constructor, and
+        ``core._new``, through which its arithmetic and ``core``'s helpers
+        build theirs.  Each is charged to the first caller outside ``core``,
+        so ``x_p + v_p * dt`` written in the engine counts as the engine's.
         """
         built = {"engine": 0, "other": 0}
-        init = Vec2.__init__
 
-        def counting_init(self, x, y):
-            frame = sys._getframe(1)
+        def charge():
+            frame = sys._getframe(2)
             while frame.f_code.co_filename == core.__file__:
                 frame = frame.f_back
             built["engine" if frame.f_code.co_filename == engine.__file__ else "other"] += 1
-            init(self, x, y)
+
+        new, fast_new = Vec2.__new__, core._new
+
+        def counting_new(cls, x, y):
+            charge()
+            return new(cls, x, y)
+
+        def counting_fast_new(cls, values):
+            if cls is Vec2:
+                charge()
+            return fast_new(cls, values)
 
         cfg = make_config(rho0=2.0, t_f=10.0, n=3)
         pursuer, evader = WaitingPursuer(), RadialEvader(review_dt=0.01)
-        monkeypatch.setattr(Vec2, "__init__", counting_init)
+        monkeypatch.setattr(Vec2, "__new__", counting_new)
+        monkeypatch.setattr(core, "_new", counting_fast_new)
         result = simulate(cfg, pursuer, evader)
         monkeypatch.undo()
         events = len(result.pursuer_trajectory.segments)

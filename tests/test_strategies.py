@@ -1,10 +1,11 @@
 """Tests for strategy policies, the sensing log, and strategy construction."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from intermittent_pursuit import (
@@ -13,9 +14,13 @@ from intermittent_pursuit import (
     ArrivalSensingPursuer,
     BudgetViolationError,
     ContinuousPursuer,
+    DegenerateDirectionError,
     EquilibriumEvader,
+    EvaderAction,
     EvaderInfo,
     EVADER_NAMES,
+    GameConfig,
+    PayoffSpec,
     PursuerAction,
     PursuerInfo,
     PURSUER_NAMES,
@@ -28,6 +33,8 @@ from intermittent_pursuit import (
     WaitingPursuer,
     build_evader,
     build_pursuer,
+    line_of_sight,
+    perpendicular,
     reach_factor,
     sensing_delay,
     simulate,
@@ -86,6 +93,36 @@ class TestSensingLog:
         assert evader == Vec2(2.0, 1.0)
         assert pursuer == Vec2(2.0, 0.0)
         assert rho == 1.0
+
+    @pytest.mark.parametrize("t", [1.0, 0.5])
+    def test_record_at_the_same_instant_or_earlier(self, t):
+        log = SensingLog.initial(make_config(n=3)).record(1.0, Vec2(2.0, 0.0), Vec2(1.0, 0.0))
+        with pytest.raises(ValueError, match="^fix times must be strictly increasing$"):
+            log.record(t, Vec2(2.0, 0.0), Vec2(1.0, 0.0))
+
+    def test_record_at_budget_zero(self):
+        log = SensingLog.initial(make_config(n=0))
+        with pytest.raises(BudgetViolationError):
+            log.record(1.0, Vec2(2.0, 0.0), Vec2(1.0, 0.0))
+
+    def test_record_chain_equals_direct_construction(self):
+        cfg = make_config(n=3)
+        fixes = [(0.5, Vec2(1.2, 0.1), Vec2(0.5, 0.0)), (1.25, Vec2(1.4, -0.2), Vec2(1.1, 0.0))]
+        log = SensingLog.initial(cfg)
+        for fix in fixes:
+            log = log.record(*fix)
+        direct = SensingLog((0.0, 0.5, 1.25), (cfg.x_e0, fixes[0][1], fixes[1][1]),
+                            (cfg.x_p0, fixes[0][2], fixes[1][2]), 1)
+        assert type(log) is SensingLog and log == direct
+        assert SensingLog.initial(cfg) == SensingLog((0.0,), (cfg.x_e0,), (cfg.x_p0,), 3)
+
+    def test_frozen_value(self):
+        log = SensingLog.initial(make_config(n=2)).record(1.0, Vec2(2.0, 0.0), Vec2(1.0, 0.0))
+        copy = pickle.loads(pickle.dumps(log))
+        assert type(copy) is SensingLog and copy == log and hash(copy) == hash(log)
+        assert repr(log).startswith("SensingLog(times=(0.0, 1.0), ")
+        with pytest.raises(AttributeError):
+            log.budget_remaining = 5
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -283,6 +320,57 @@ class TestEvaders:
             EquilibriumEvader((1, 0, -1))
         with pytest.raises(ValueError, match="integers"):
             EquilibriumEvader((1, True))  # bool is not int here, as for GameConfig.n
+
+    @staticmethod
+    def longhand_act(evader, info):
+        """The equilibrium evader's rule written with the vector helpers."""
+        anchor_t, anchor_e, anchor_p, rho = info.log.anchor()
+        cfg = info.config
+        tau = cfg.t_f - anchor_t
+        ell = info.log.budget_remaining
+        bearing = line_of_sight(anchor_p, anchor_e)
+        if (ell == 0 and tau <= rho) or (ell >= 1 and tau < rho):
+            return EvaderAction(bearing * cfg.nu)
+        theta = evader.thetas[len(info.log.times) - 1]
+        return EvaderAction(perpendicular(bearing, theta) * cfg.nu)
+
+    @settings(max_examples=300)
+    @given(
+        nu=st.floats(0.05, 0.95),
+        p=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        e=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        anchor_t=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+        slack=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+        ell=st.integers(0, 3),
+        thetas=st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])),
+        coincident=st.booleans(),
+    )
+    @example(nu=0.7, p=(0.0, 0.0), e=(1.0, 0.0), anchor_t=1.0, slack=0.0, ell=0,
+             thetas=(1, -1), coincident=False)  # tau == rho, no budget: flee
+    @example(nu=0.7, p=(0.0, 0.0), e=(1.0, 0.0), anchor_t=1.0, slack=0.0, ell=1,
+             thetas=(1, -1), coincident=False)  # tau == rho with budget: dodge
+    def test_equilibrium_act_matches_longhand_property(self, nu, p, e, anchor_t, slack, ell,
+                                                       thetas, coincident):
+        x_p, x_e = Vec2(*p), Vec2(*p) if coincident else Vec2(*e)
+        rho = x_p.dist(x_e)
+        # below about 1e-308, 1/rho overflows and neither form gives a unit bearing
+        assume(rho == 0.0 or math.isfinite(1.0 / rho))
+        t_f = max(anchor_t + rho + slack, anchor_t)  # slack 0: tau == rho, up to rounding
+        cfg = GameConfig(nu=nu, r_cap=0.1, x_p0=x_p, x_e0=x_e, t_f=t_f, n=ell + 1,
+                         phi=PayoffSpec("hinge", 0.1))
+        times = (0.0, anchor_t) if anchor_t > 0.0 else (0.0,)
+        log = SensingLog(times, (x_e,) * len(times), (x_p,) * len(times), ell)
+        info = evader_info(cfg, t=anchor_t, log=log)
+        evader = EquilibriumEvader(thetas)
+        if rho == 0.0:
+            with pytest.raises(DegenerateDirectionError, match="coincident"):
+                evader.act(info)
+            with pytest.raises(DegenerateDirectionError, match="coincident"):
+                self.longhand_act(evader, info)
+            return
+        fast, slow = evader.act(info), self.longhand_act(evader, info)
+        assert fast == slow
+        assert repr(fast) == repr(slow)  # bit for bit, signed zeros too
 
     def test_scripted_replay_and_tail(self):
         cfg = make_config()
