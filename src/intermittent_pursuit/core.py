@@ -292,14 +292,26 @@ class GameConfig:
         }
 
 
-def line_of_sight(x_p: Vec2, x_e: Vec2) -> Vec2:
-    """Unit vector pointing from the pursuer's position to the evader's."""
-    dx, dy = x_e.x - x_p.x, x_e.y - x_p.y
+def _bearing(dx: float, dy: float) -> tuple[float, float, float]:
+    """Unit components of (dx, dy), scaled by ``1.0 / norm``, and the norm.
+
+    Where that reciprocal overflows (norm below about 5.6e-309), (dx, dy) is
+    first scaled by 2^1000, which is exact; other inputs keep their bits.
+    """
     norm = math.hypot(dx, dy)
     if norm == 0.0:
         raise DegenerateDirectionError("line of sight undefined for coincident points")
     k = 1.0 / norm
-    return _new(Vec2, (dx * k, dy * k))
+    if k > 1.7976931348623157e308:  # the largest float: 1/norm overflowed
+        dx, dy = dx * 2.0 ** 1000, dy * 2.0 ** 1000
+        k = 1.0 / math.hypot(dx, dy)
+    return dx * k, dy * k, norm
+
+
+def line_of_sight(x_p: Vec2, x_e: Vec2) -> Vec2:
+    """Unit vector pointing from the pursuer's position to the evader's."""
+    ux, uy, _ = _bearing(x_e.x - x_p.x, x_e.y - x_p.y)
+    return _new(Vec2, (ux, uy))
 
 
 def perpendicular(r: Vec2, orientation: int) -> Vec2:

@@ -35,7 +35,7 @@ import numpy as np
 from .core import (ROUND_TOL, TIME_EPS, EnumerationCapError, GameConfig, Vec2,
                    _fmt_cells, exceeds, write_csv)
 from .strategies import (EquilibriumEvader, EvaderInfo, PursuerAction, PursuerInfo, SensingLog,
-                         theta_stream)
+                         _Flips)
 
 __all__ = [
     "Segment",
@@ -312,8 +312,8 @@ def _leaves(config: GameConfig, pursuer) -> list[tuple[float, int]]:
 
     The evader reads ``thetas[k]`` first at branch point k, so a game with d
     branch points (one more than its fixes, or none if it played no event)
-    depends on ``thetas[:d]`` alone.  Each prefix is played padded with +1s
-    (its +1 child replays the same tuple) and branches while shorter than
+    depends on ``thetas[:d]`` alone.  Each prefix is played with a +1 tail
+    (its +1 child replays the same flips) and branches while shorter than
     min(d, n + 1); a leaf at depth L has weight 2^-L.  So a game with no
     event (capture at t = 0, or no time left) is a single leaf.
 
@@ -336,8 +336,7 @@ def _leaves(config: GameConfig, pursuer) -> list[tuple[float, int]]:
                 raise EnumerationCapError(f"{played} leaves simulated and the prefix tree "
                                           f"has more; the cap is 2^{_ENUMERATION_CAP}")
             played += 1
-            padded = prefix + (1,) * (draws - depth)
-            result = simulate(config, pursuer, EquilibriumEvader._trusted(padded), _fork=fork)
+            result = simulate(config, pursuer, EquilibriumEvader(_Flips(draws, prefix)), _fork=fork)
             game = result.outcome.payoff, fork[1]
         payoff, points = game
         if depth >= min(len(points), draws):
@@ -401,8 +400,8 @@ def sampled_expected_payoff(config: GameConfig, pursuer, n_draws: int, seed: int
         raise ValueError(f"n_draws must be positive, got {n_draws}")
     payoffs = np.empty(n_draws)
     for draw in range(n_draws):
-        thetas = theta_stream(seed, draw, config.n + 1)
-        payoffs[draw] = simulate(config, pursuer, EquilibriumEvader(thetas)).outcome.payoff
+        evader = EquilibriumEvader(_Flips.seeded(seed, draw, config.n + 1))
+        payoffs[draw] = simulate(config, pursuer, evader).outcome.payoff
     return float(payoffs.mean())
 
 

@@ -28,8 +28,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import (CHECK_TOL, BudgetViolationError, DegenerateDirectionError, GameConfig, Vec2,
-                   _number, _vec_from, before, line_of_sight)
+from .core import (CHECK_TOL, BudgetViolationError, GameConfig, Vec2, _bearing, _number,
+                   _vec_from, before, line_of_sight)
 from .value import holds_at_fix, sensing_delay, trigger_coefficient
 
 __all__ = [
@@ -285,18 +285,11 @@ class EquilibriumEvader:
     """
 
     def __init__(self, thetas: Sequence[int]):
-        if not isinstance(thetas, _LazyThetas):
+        if not isinstance(thetas, _Flips):
             thetas = tuple(thetas)
             if any(type(t) is not int or t not in (1, -1) for t in thetas):
                 raise ValueError(f"thetas must be +1/-1 integers, got {thetas}")
         self.thetas = thetas
-
-    @classmethod
-    def _trusted(cls, thetas: tuple[int, ...]) -> "EquilibriumEvader":
-        """An evader on a tuple of +1/-1 ints the caller built, not checked again."""
-        evader = cls.__new__(cls)
-        evader.thetas = thetas
-        return evader
 
     def act(self, info: EvaderInfo) -> EvaderAction:
         # One float pass over the latest fix: hypot ignores sign, so the
@@ -306,23 +299,18 @@ class EquilibriumEvader:
         times = log.times
         px, py = log.pursuer_positions[-1]
         ex, ey = log.sensed_positions[-1]
-        dx, dy = ex - px, ey - py
-        rho = math.hypot(dx, dy)
-        if rho == 0.0:
-            raise DegenerateDirectionError("line of sight undefined for coincident points")
-        k = 1.0 / rho
-        bx, by = dx * k, dy * k
+        bx, by, rho = _bearing(ex - px, ey - py)
         tau = cfg.t_f - times[-1]
         ell = log.budget_remaining
         nu = cfg.nu
         if (ell == 0 and tau <= rho) or (ell >= 1 and tau < rho):  # terminal interval
             return EvaderAction(Vec2(bx * nu, by * nu))
         interval = len(times) - 1
-        if interval >= len(self.thetas):
-            raise ValueError(
-                f"theta stream exhausted: interval {interval}, only {len(self.thetas)} draws"
-            )
-        theta = self.thetas[interval]
+        try:
+            theta = self.thetas[interval]
+        except IndexError:
+            raise ValueError(f"theta stream exhausted: interval {interval}, "
+                             f"only {len(self.thetas)} draws") from None
         return EvaderAction(Vec2(-by * theta * nu, bx * theta * nu))
 
 
@@ -397,21 +385,38 @@ def theta_stream(seed: int, trial: int, length: int) -> tuple[int, ...]:
     return tuple(int(x) for x in rng.choice((-1, 1), size=length))
 
 
-class _LazyThetas:
-    """``theta_stream(seed, trial, length)``, each entry drawn when first read."""
+class _Flips:
+    """``length`` coin flips: ``head``, then ``tail`` for every later flip.
 
-    def __init__(self, seed: int, trial: int, length: int):
-        self._rng, self._drawn, self._length = trial_rng(seed, trial), [], length
+    ``tail`` is +1, -1 or, from ``seeded``, a generator drawn one flip at a time
+    as each is first read, which gives ``theta_stream``'s values; so a budget
+    costs nothing until a game spends it.  Not checked: only the package builds them.
+    """
+
+    __slots__ = ("_head", "_length", "_tail")
+
+    def __init__(self, length: int, head: Sequence[int] = (), tail=1):
+        self._head, self._length, self._tail = head, length, tail
+
+    @classmethod
+    def seeded(cls, seed: int, trial: int, length: int) -> "_Flips":
+        return cls(length, [], trial_rng(seed, trial))
 
     def __len__(self) -> int:
         return self._length
 
     def __getitem__(self, k: int) -> int:
+        head = self._head
+        if 0 <= k < len(head):
+            return head[k]
         if not 0 <= k < self._length:
             raise IndexError(k)
-        while len(self._drawn) <= k:  # one draw at a time gives the bulk draw's values
-            self._drawn.append(int(self._rng.choice((-1, 1))))
-        return self._drawn[k]
+        tail = self._tail
+        if type(tail) is int:
+            return tail
+        while len(head) <= k:  # one draw at a time gives the bulk draw's values
+            head.append(int(tail.choice((-1, 1))))
+        return head[k]
 
 
 # Config name -> (class, allowed parameter keys).
@@ -467,7 +472,7 @@ def build_evader(selector, config: GameConfig):
     if cls is EquilibriumEvader:
         thetas = params.get("thetas")
         if thetas is None:
-            thetas = _LazyThetas(config.seed, 0, config.n + 1)
+            thetas = _Flips.seeded(config.seed, 0, config.n + 1)
         elif not isinstance(thetas, (list, tuple)):
             raise ValueError(f"thetas must be a list of +1/-1 integers, got {thetas!r}")
         return EquilibriumEvader(thetas)

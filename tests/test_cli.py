@@ -88,6 +88,13 @@ class TestSimulate:
         assert (tmp_path / "a.trajectory.csv").read_bytes() == \
             (tmp_path / "b.trajectory.csv").read_bytes()
 
+    def test_budget_past_any_tuple(self, config_json, capsys):
+        """A budget of 2^63 or more plays: the evader draws only the flips the game reads."""
+        path = config_json(default_config_payload(n=10**20))
+        code, out, err = run_cli("simulate", "--config", path, capsys=capsys)
+        assert code == 0 and err == ""
+        assert out == "captured t=2.86406116 payoff=0\n"
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run_cli("simulate", "--config", str(tmp_path / "nope.json"),
                                capsys=capsys)
@@ -419,6 +426,19 @@ class TestVerify:
         assert report["passed"] is True
         assert "20 deviations with a fix within a rounding step of t = 0 skipped" in report["notes"]
         assert "evader: PASS" in err
+
+    @pytest.mark.parametrize("suite", ["evader", "pursuer"])
+    def test_budget_past_any_tuple(self, suite, config_json, capsys):
+        """At a budget of 2^63 or more a suite reports what it reports at 10^4."""
+        reports = []
+        for n in (10**20, 10**4):
+            path = config_json(default_config_payload(n=n), name=f"game_{n}.json")
+            code, out, err = run_cli("verify", suite, "--trials", "12", "--config", path,
+                                     capsys=capsys)
+            assert code == 0 and f"{suite}: PASS" in err
+            reports.append(out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])[0]["suite"] == suite
 
     def test_oracle_rejects_an_infinite_step(self, capsys):
         code, out, err = run_cli("verify", "oracle", "--trials", "200", "--dt", "inf",

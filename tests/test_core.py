@@ -9,10 +9,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from intermittent_pursuit import (
+    CHECK_TOL,
     DegenerateDirectionError,
     GameConfig,
     PayoffSpec,
@@ -195,14 +196,25 @@ class TestDirections:
         with pytest.raises(DegenerateDirectionError):
             line_of_sight(Vec2(1.0, 1.0), Vec2(1.0, 1.0))
 
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4))
+    # coordinates up to 1e-307 apart reach subnormal separations, where 1/norm overflows
+    @given(st.lists(st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-307, 1e-307)),
+                    min_size=4, max_size=4))
+    @example([0.0, 0.0, 5e-324, 0.0])
+    @example([0.0, 0.0, 3e-309, 4e-309])
+    @example([0.0, 0.0, -5e-324, 5e-324])
     def test_line_of_sight_matches_longhand_property(self, coords):
         x_p, x_e = Vec2(coords[0], coords[1]), Vec2(coords[2], coords[3])
         d = x_e - x_p
         if d.norm() == 0.0:
             return
-        longhand = d * (1.0 / d.norm())
         u = line_of_sight(x_p, x_e)
+        if math.isinf(1.0 / d.norm()):
+            assert math.isfinite(u.x) and math.isfinite(u.y)
+            assert abs(u.norm() - 1.0) <= CHECK_TOL
+            assert math.copysign(1.0, u.x) == math.copysign(1.0, d.x)
+            assert math.copysign(1.0, u.y) == math.copysign(1.0, d.y)
+            return
+        longhand = d * (1.0 / d.norm())
         assert u.x == longhand.x and u.y == longhand.y
         assert math.copysign(1.0, u.x) == math.copysign(1.0, longhand.x)
         assert math.copysign(1.0, u.y) == math.copysign(1.0, longhand.y)

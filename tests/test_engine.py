@@ -558,6 +558,24 @@ class TestExpectations:
             assert exact_expected_payoff(cfg, _endpoint_run(cfg, 1.0, 0.3)) == small
             assert calls[0] == 2
 
+    def test_leaf_expectation_at_a_budget_past_any_tuple(self, monkeypatch):
+        # 2^63 or more flips fit no tuple; a never-sensing game reads only the first
+        budgets = []
+        real_act = EquilibriumEvader.act
+
+        def spying_act(evader, info):
+            budgets.append(info.log.budget_remaining)
+            return real_act(evader, info)
+
+        monkeypatch.setattr(EquilibriumEvader, "act", spying_act)
+        expectations = []
+        for n in (10**20, 50):
+            cfg = make_config(n=n)
+            budgets.clear()
+            expectations.append(exact_expected_payoff(cfg, _endpoint_run(cfg, 1.0, 0.3)))
+            assert budgets and min(budgets) >= 1  # every query dodges on a read flip
+        assert expectations[0] == expectations[1]
+
     @pytest.mark.parametrize("n", range(5))
     @pytest.mark.parametrize("t_f", (2.0, 5.0))
     @pytest.mark.parametrize("family", sorted(_PURSUER_FAMILIES))

@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intermittent_pursuit import (
@@ -334,11 +334,14 @@ class TestEvaders:
         theta = evader.thetas[len(info.log.times) - 1]
         return EvaderAction(perpendicular(bearing, theta) * cfg.nu)
 
+    # coordinates up to 1e-307 reach subnormal separations, where 1/rho overflows
+    _coord = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e-307, 1e-307))
+
     @settings(max_examples=300)
     @given(
         nu=st.floats(0.05, 0.95),
-        p=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
-        e=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        p=st.tuples(_coord, _coord),
+        e=st.tuples(_coord, _coord),
         anchor_t=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
         slack=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
         ell=st.integers(0, 3),
@@ -349,12 +352,14 @@ class TestEvaders:
              thetas=(1, -1), coincident=False)  # tau == rho, no budget: flee
     @example(nu=0.7, p=(0.0, 0.0), e=(1.0, 0.0), anchor_t=1.0, slack=0.0, ell=1,
              thetas=(1, -1), coincident=False)  # tau == rho with budget: dodge
+    @example(nu=0.7, p=(0.0, 0.0), e=(5e-324, 0.0), anchor_t=0.0, slack=1.0, ell=1,
+             thetas=(1, -1), coincident=False)  # 1/rho overflows: dodge
+    @example(nu=0.7, p=(0.0, 0.0), e=(3e-309, 4e-309), anchor_t=0.0, slack=-1.0, ell=0,
+             thetas=(1, -1), coincident=False)  # 1/rho overflows: flee
     def test_equilibrium_act_matches_longhand_property(self, nu, p, e, anchor_t, slack, ell,
                                                        thetas, coincident):
         x_p, x_e = Vec2(*p), Vec2(*p) if coincident else Vec2(*e)
         rho = x_p.dist(x_e)
-        # below about 1e-308, 1/rho overflows and neither form gives a unit bearing
-        assume(rho == 0.0 or math.isfinite(1.0 / rho))
         t_f = max(anchor_t + rho + slack, anchor_t)  # slack 0: tau == rho, up to rounding
         cfg = GameConfig(nu=nu, r_cap=0.1, x_p0=x_p, x_e0=x_e, t_f=t_f, n=ell + 1,
                          phi=PayoffSpec("hinge", 0.1))
@@ -371,6 +376,9 @@ class TestEvaders:
         fast, slow = evader.act(info), self.longhand_act(evader, info)
         assert fast == slow
         assert repr(fast) == repr(slow)  # bit for bit, signed zeros too
+        # a unit bearing at every separation, also where 1/rho overflows
+        speed = fast.velocity.norm()
+        assert math.isfinite(speed) and abs(speed - nu) <= CHECK_TOL * nu
 
     def test_scripted_replay_and_tail(self):
         cfg = make_config()
