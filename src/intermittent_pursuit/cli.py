@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -23,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import (PAYOFF_KINDS, GameConfig, PayoffSpec, RegionNotCoveredError, _fmt_cells,
-                   fmt_g, write_csv)
+from .core import (PAYOFF_KINDS, GameConfig, PayoffSpec, RegionNotCoveredError, _count,
+                   _fmt_cells, _in_unit, _nonnegative, _positive, fmt_g, write_csv)
 from .engine import simulate, write_trajectory_csv
 from .strategies import build_evader, build_pursuer
 from .value import (
@@ -36,6 +35,11 @@ from .value import (
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
+
+# Most cells one value-grid may hold, and a typical row's length (CRLF
+# included) on the benchmark's grid, to estimate the CSV a larger grid would write.
+_MAX_GRID_CELLS = 10**7
+_ROW_BYTES = 54
 
 
 class CliError(Exception):
@@ -125,25 +129,24 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_ell(raw: str) -> list[int]:
+def _parse_ell(raw: str) -> range:
     try:
         if ":" in raw:
             lo_s, hi_s = raw.split(":", 1)
             lo, hi = int(lo_s), int(hi_s)
             if lo < 0 or hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
+            return range(lo, hi + 1)
         value = int(raw)
         if value < 0:
             raise ValueError
-        return [value]
+        return range(value, value + 1)
     except ValueError:
         raise CliError(f"--ell must be a nonnegative integer or lo:hi range, got {raw!r}") from None
 
 
 def _linspace(lo: float, hi: float, steps: int, what: str) -> list[float]:
-    if steps < 1:
-        raise CliError(f"{what}: steps must be at least 1, got {steps}")
+    """``steps`` (checked by the caller) evenly spaced points from ``lo`` to ``hi``."""
     if hi < lo:
         raise CliError(f"{what}: max {hi} is below min {lo}")
     if steps == 1:
@@ -152,17 +155,16 @@ def _linspace(lo: float, hi: float, steps: int, what: str) -> list[float]:
 
 
 def cmd_value_grid(args) -> int:
-    if not 0.0 < args.nu < 1.0:
-        raise CliError(f"--nu must lie in (0, 1), got {args.nu}")
-    if args.r_cap <= 0.0:
-        raise CliError(f"--r-cap must be positive, got {args.r_cap}")
+    _in_unit(args.nu, "--nu")
+    _positive(args.r_cap, "--r-cap")
     for flag, end in (("--rho-min", args.rho_min), ("--rho-max", args.rho_max),
                       ("--tau-min", args.tau_min), ("--tau-max", args.tau_max)):
-        if not math.isfinite(end):
-            raise CliError(f"{flag} must be finite, got {end}")
-    if args.rho_min < 0.0 or args.tau_min < 0.0:
-        raise CliError("--rho-min and --tau-min must be nonnegative")
+        _nonnegative(end, flag)
     ells = _parse_ell(args.ell)
+    cells = _count(args.rho_steps, "--rho-steps") * _count(args.tau_steps, "--tau-steps") * len(ells)
+    if cells > _MAX_GRID_CELLS:
+        raise CliError(f"the grid has {cells} cells, more than the {_MAX_GRID_CELLS} allowed; "
+                       f"its CSV would take about {cells * _ROW_BYTES / 1e9:.3g} GB")
     rhos = _linspace(args.rho_min, args.rho_max, args.rho_steps, "rho range")
     taus = _linspace(args.tau_min, args.tau_max, args.tau_steps, "tau range")
     phi = PayoffSpec(args.phi, args.r_cap)
@@ -196,7 +198,7 @@ def cmd_compare_nmax(args) -> int:
         )
     if not 0.0 < args.r_cap < args.rho0:
         raise CliError(f"need 0 < r_cap < rho0, got r_cap={args.r_cap}, rho0={args.rho0}")
-    nus = _linspace(args.nu_min, args.nu_max, args.nu_steps, "nu range")
+    nus = _linspace(args.nu_min, args.nu_max, _count(args.nu_steps, "--nu-steps"), "nu range")
     rows = [
         (fmt_g(nu), str(sense_count_self_triggered(args.rho0, args.r_cap, nu)),
          str(sense_count_arrival(args.rho0, args.r_cap, nu)))
@@ -216,17 +218,13 @@ def _parse_nu_list(raw: str) -> list[float]:
         raise CliError(f"--nu must be a comma-separated list of numbers, got {raw!r}") from None
     if not values:
         raise CliError("--nu list is empty")
-    for nu in values:
-        if not 0.0 < nu < 1.0:
-            raise CliError(f"--nu values must lie in (0, 1), got {nu}")
-    return values
+    return [_in_unit(nu, "--nu") for nu in values]
 
 
 def cmd_degradation(args) -> int:
     if not 0.0 < args.r_cap < args.rho0:
         raise CliError(f"need 0 < r_cap < rho0, got r_cap={args.r_cap}, rho0={args.rho0}")
-    if args.tf_frac <= 0.0:
-        raise CliError(f"--tf-frac must be positive, got {args.tf_frac}")
+    _positive(args.tf_frac, "--tf-frac")
     nus = _parse_nu_list(args.nu)
     phi = PayoffSpec(args.phi, args.r_cap)
     rows = []

@@ -21,6 +21,21 @@ arithmetic*, 1991).  Every tolerance in the package is one of three constants:
   unit headings, relative where a site scales it; each report's tolerance.
 
 ``before`` and ``exceeds`` are the two recurring ``ROUND_TOL`` comparisons.
+
+Input rules.  Every range check on a value from outside the package (a
+config, a closed-form argument, a strategy parameter, a suite size, a CLI
+flag) is one of six private checks, each written once below.  Each returns
+the value and raises ``ValueError`` naming the key or flag it was given:
+
+* ``_in_unit``: a number strictly inside (0, 1), which is ``nu``;
+* ``_positive``: a positive, finite number (``r_cap``, a step, an interval);
+* ``_nonnegative``: a nonnegative, finite number (a horizon, a separation);
+* ``_index``: a nonnegative ``int`` (a budget, a trial index, a length);
+* ``_count``: a positive ``int`` (how many trials, scenarios or draws);
+* ``_seed``: an ``int`` in [0, 2**64).
+
+The first three take only an ``int`` or a ``float`` and reject NaN; to the
+last three a ``bool`` is not an ``int``.
 """
 
 from __future__ import annotations
@@ -62,6 +77,42 @@ def before(t: float, target: float) -> bool:
 def exceeds(x: float, limit: float) -> bool:
     """True when ``x`` is above ``limit`` by more than rounding noise; NaN exceeds."""
     return not x <= limit * (1.0 + ROUND_TOL)
+
+
+def _in_unit(value, key: str):
+    if isinstance(value, (int, float)) and 0.0 < value < 1.0:
+        return value
+    raise ValueError(f"{key} must lie strictly in (0, 1), got {value!r}")
+
+
+def _positive(value, key: str):
+    if isinstance(value, (int, float)) and 0.0 < value < math.inf:
+        return value
+    raise ValueError(f"{key} must be positive and finite, got {value!r}")
+
+
+def _nonnegative(value, key: str):
+    if isinstance(value, (int, float)) and 0.0 <= value < math.inf:
+        return value
+    raise ValueError(f"{key} must be nonnegative and finite, got {value!r}")
+
+
+def _index(value, key: str) -> int:
+    if type(value) is int and value >= 0:
+        return value
+    raise ValueError(f"{key} must be a nonnegative integer, got {value!r}")
+
+
+def _count(value, key: str) -> int:
+    if type(value) is int and value > 0:
+        return value
+    raise ValueError(f"{key} must be positive, got {value!r}")
+
+
+def _seed(value, key: str) -> int:
+    if type(value) is int and 0 <= value < 2**64:
+        return value
+    raise ValueError(f"{key} must be an integer in [0, 2**64), got {value!r}")
 
 
 def fmt_g(value: float) -> str:
@@ -178,9 +229,7 @@ class PayoffSpec:
     def __post_init__(self):
         if self.kind not in PAYOFF_KINDS:
             raise ValueError(f"unknown payoff kind {self.kind!r}; expected one of {PAYOFF_KINDS}")
-        object.__setattr__(self, "r_cap", float(self.r_cap))
-        if not (math.isfinite(self.r_cap) and self.r_cap > 0):
-            raise ValueError(f"r_cap must be positive and finite, got {self.r_cap}")
+        object.__setattr__(self, "r_cap", _positive(float(self.r_cap), "r_cap"))
 
     def evaluate(self, distance: float) -> float:
         if distance < 0:
@@ -229,18 +278,14 @@ class GameConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.nu < 1.0):
-            raise ValueError(f"nu must lie strictly in (0, 1), got {self.nu}")
+        _in_unit(self.nu, "nu")
         if not isinstance(self.x_p0, Vec2) or not isinstance(self.x_e0, Vec2):
             raise ValueError("x_p0 and x_e0 must be Vec2 instances")
         if not all(map(math.isfinite, (self.x_p0.x, self.x_p0.y, self.x_e0.x, self.x_e0.y))):
             raise ValueError(f"x_p0 and x_e0 must be finite, got {self.x_p0} and {self.x_e0}")
-        if not (math.isfinite(self.t_f) and self.t_f >= 0):
-            raise ValueError(f"t_f must be nonnegative and finite, got {self.t_f}")
-        if type(self.n) is not int or self.n < 0:
-            raise ValueError(f"n must be a nonnegative integer, got {self.n!r}")
-        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        _nonnegative(self.t_f, "t_f")
+        _index(self.n, "n")
+        _seed(self.seed, "seed")
         if self.phi.r_cap != self.r_cap:
             raise ValueError(
                 f"phi.r_cap ({self.phi.r_cap}) must equal the game's r_cap ({self.r_cap})"

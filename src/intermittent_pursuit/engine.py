@@ -32,8 +32,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import (ROUND_TOL, TIME_EPS, EnumerationCapError, GameConfig, Vec2,
-                   _fmt_cells, exceeds, write_csv)
+from .core import (ROUND_TOL, TIME_EPS, EnumerationCapError, GameConfig, Vec2, _count,
+                   _fmt_cells, _positive, exceeds, write_csv)
 from .strategies import (EquilibriumEvader, EvaderInfo, PursuerAction, PursuerInfo, SensingLog,
                          _Flips)
 
@@ -154,8 +154,7 @@ def detect_capture(p_seg: Segment, e_seg: Segment, r_cap: float) -> Optional[flo
     The segments must overlap in time; capture at the overlap's right
     endpoint counts.
     """
-    if not r_cap > 0:
-        raise ValueError(f"r_cap must be positive, got {r_cap}")
+    _positive(r_cap, "r_cap")
     t0 = max(p_seg.t_start, e_seg.t_start)
     t1 = min(p_seg.t_end, e_seg.t_end)
     if t1 < t0:
@@ -383,8 +382,7 @@ def mc_expected_payoff(config: GameConfig, pursuer, n_draws: int, seed: int) -> 
 
     A cross-check that no package code calls, kept for the benchmark's tracer.
     """
-    if n_draws <= 0:
-        raise ValueError(f"n_draws must be positive, got {n_draws}")
+    _count(n_draws, "n_draws")
     payoffs = enumerate_branch_payoffs(config, pursuer)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     counts = rng.multinomial(n_draws, [1.0 / len(payoffs)] * len(payoffs))
@@ -396,8 +394,7 @@ def sampled_expected_payoff(config: GameConfig, pursuer, n_draws: int, seed: int
 
     A cross-check that no package code calls, kept for the benchmark's tracer.
     """
-    if n_draws <= 0:
-        raise ValueError(f"n_draws must be positive, got {n_draws}")
+    _count(n_draws, "n_draws")
     payoffs = np.empty(n_draws)
     for draw in range(n_draws):
         evader = EquilibriumEvader(_Flips.seeded(seed, draw, config.n + 1))

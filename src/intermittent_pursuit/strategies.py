@@ -28,8 +28,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import (CHECK_TOL, BudgetViolationError, GameConfig, Vec2, _bearing, _number,
-                   _vec_from, before, line_of_sight)
+from .core import (CHECK_TOL, BudgetViolationError, GameConfig, Vec2, _bearing, _index, _number,
+                   _positive, _seed, _vec_from, before, line_of_sight)
 from .value import holds_at_fix, sensing_delay, trigger_coefficient
 
 __all__ = [
@@ -83,8 +83,7 @@ class SensingLog(_LogColumns):
             raise ValueError("log must start with the free fix at t = 0")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("fix times must be strictly increasing")
-        if budget_remaining < 0:
-            raise ValueError("budget cannot be negative")
+        _index(budget_remaining, "budget_remaining")
         return tuple.__new__(cls, (times, sensed_positions, pursuer_positions, budget_remaining))
 
     @classmethod
@@ -147,14 +146,6 @@ class EvaderAction(NamedTuple):
     review_at: Optional[float] = None
 
 
-def _review_dt(value) -> float:
-    """A strategy's review interval from its parameter: a positive number."""
-    review_dt = _number(value, "review_dt")
-    if not review_dt > 0:
-        raise ValueError(f"review_dt must be positive, got {value!r}")
-    return review_dt
-
-
 class ContinuousPursuer:
     """Full-information baseline: drive at the evader along the line of sight.
 
@@ -167,7 +158,7 @@ class ContinuousPursuer:
     continuous_observation = True
 
     def __init__(self, review_dt: float = 0.01):
-        self.review_dt = _review_dt(review_dt)
+        self.review_dt = _positive(_number(review_dt, "review_dt"), "review_dt")
 
     def act(self, info: PursuerInfo) -> PursuerAction:
         if info.evader is None:
@@ -262,7 +253,7 @@ class RadialEvader:
     """
 
     def __init__(self, review_dt: float = 0.1):
-        self.review_dt = _review_dt(review_dt)
+        self.review_dt = _positive(_number(review_dt, "review_dt"), "review_dt")
 
     def act(self, info: EvaderInfo) -> EvaderAction:
         away = line_of_sight(info.pursuer, info.own)
@@ -370,19 +361,14 @@ def _legs(legs: Sequence[tuple[float, Vec2]]) -> tuple[tuple[float, Vec2], ...]:
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent generator for (seed, trial); trials are order-independent."""
-    if type(seed) is not int or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    if type(trial) is not int or trial < 0:
-        raise ValueError(f"trial index must be a nonnegative integer, got {trial!r}")
+    seed, trial = _seed(seed, "seed"), _index(trial, "trial index")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
 def theta_stream(seed: int, trial: int, length: int) -> tuple[int, ...]:
     """Deterministic +/-1 orientation draws for one trial."""
-    if length < 0:
-        raise ValueError(f"length must be nonnegative, got {length}")
     rng = trial_rng(seed, trial)
-    return tuple(int(x) for x in rng.choice((-1, 1), size=length))
+    return tuple(int(x) for x in rng.choice((-1, 1), size=_index(length, "length")))
 
 
 class _Flips:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CHECK_TOL, ROUND_TOL, PayoffSpec, RegionNotCoveredError
+from .core import (CHECK_TOL, ROUND_TOL, PayoffSpec, RegionNotCoveredError, _in_unit, _index,
+                   _nonnegative, _positive)
 
 __all__ = [
     "trigger_coefficient",
@@ -53,11 +54,6 @@ __all__ = [
 ]
 
 
-def _check_nu(nu: float) -> None:
-    if not (isinstance(nu, (int, float)) and 0.0 < nu < 1.0):
-        raise ValueError(f"nu must lie strictly in (0, 1), got {nu!r}")
-
-
 # Floor and ceiling nudged by ROUND_TOL, so that an exact power does not flip
 # the integer by one unit of rounding noise.
 def _floor_nudged(q: float) -> int:
@@ -76,7 +72,7 @@ def trigger_coefficient(nu: float) -> float:
     f(nu) = sqrt(1 - nu^2) / (nu + sqrt(1 - nu^2)).  Decreasing in nu: a
     faster evader forces more frequent sensing.
     """
-    _check_nu(nu)
+    _in_unit(nu, "nu")
     root = math.sqrt(1.0 - nu * nu)
     return root / (nu + root)
 
@@ -92,7 +88,7 @@ def self_triggered_contraction(nu: float) -> float:
     fleeing evader leaves f*rho*nu + (1-f)*rho = contraction*rho between the
     players, and no other evader heading leaves more.
     """
-    _check_nu(nu)
+    _in_unit(nu, "nu")
     root = math.sqrt(1.0 - nu * nu)
     return 1.0 - (1.0 - nu) * root / (nu + root)
 
@@ -104,17 +100,10 @@ def self_triggered_contraction_raw(nu: float) -> float:
     cross-checking the simplified form; numerically useless near the
     removable singularity at nu = 1/sqrt(2), where the denominator vanishes.
     """
-    _check_nu(nu)
+    _in_unit(nu, "nu")
     root = math.sqrt(1.0 - nu * nu)
     numerator = nu * (1.0 - nu) * root - (1.0 - nu) * (1.0 - nu * nu)
     return 1.0 - numerator / (2.0 * nu * nu - 1.0)
-
-
-def _check_radii(rho0: float, r_cap: float) -> None:
-    if not (math.isfinite(r_cap) and r_cap > 0):
-        raise ValueError(f"r_cap must be positive and finite, got {r_cap}")
-    if not (math.isfinite(rho0) and rho0 >= r_cap):
-        raise ValueError(f"rho0 must be finite and at least r_cap, got {rho0}")
 
 
 def sense_count_self_triggered(rho0: float, r_cap: float, nu: float) -> int:
@@ -122,8 +111,9 @@ def sense_count_self_triggered(rho0: float, r_cap: float, nu: float) -> int:
 
     ceil(log(r_cap/rho0) / log(contraction)), clamped at 0.
     """
-    _check_nu(nu)
-    _check_radii(rho0, r_cap)
+    _in_unit(nu, "nu")
+    if _positive(r_cap, "r_cap") > _positive(rho0, "rho0"):
+        raise ValueError(f"rho0 must be at least r_cap, got {rho0} < {r_cap}")
     h = self_triggered_contraction(nu)
     q = (math.log(r_cap) - math.log(rho0)) / math.log(h)
     return max(_ceil_nudged(q), 0)
@@ -141,8 +131,9 @@ def sense_count_arrival(rho0: float, r_cap: float, nu: float) -> int:
     least nu, and once nu*rho <= r_cap one blind straight dash finishes the
     capture, so the count is a floor rather than a ceiling.
     """
-    _check_nu(nu)
-    _check_radii(rho0, r_cap)
+    _in_unit(nu, "nu")
+    if _positive(r_cap, "r_cap") > _positive(rho0, "rho0"):
+        raise ValueError(f"rho0 must be at least r_cap, got {rho0} < {r_cap}")
     return _arrival_count(rho0, r_cap, nu)
 
 
@@ -150,18 +141,13 @@ def travel_budget(rho0: float, r_cap: float, nu: float) -> tuple[int, float]:
     """Sensing count and worst-case pursuer path length of the arrival scheme.
 
     Returns ``(sensings, max_travel)`` where ``max_travel`` is the geometric
-    sum (1 - nu^(dashes+1)) / (1 - nu) * rho0 over the chase legs.  Unlike the
+    sum reach_factor(nu, dashes) * rho0 over the chase legs.  Unlike the
     count functions this accepts r_cap > rho0 (zero dashes, bound rho0).
     """
-    _check_nu(nu)
-    if not (math.isfinite(r_cap) and r_cap > 0):
-        raise ValueError(f"r_cap must be positive and finite, got {r_cap}")
-    if not (math.isfinite(rho0) and rho0 > 0):
-        raise ValueError(f"rho0 must be positive and finite, got {rho0}")
-    dashes = 0 if r_cap > rho0 else _arrival_count(rho0, r_cap, nu) + 1
-    sensings = max(dashes - 1, 0)
-    max_travel = (1.0 - nu ** (dashes + 1)) / (1.0 - nu) * rho0
-    return sensings, max_travel
+    _in_unit(nu, "nu")
+    inside = _positive(r_cap, "r_cap") > _positive(rho0, "rho0")
+    dashes = 0 if inside else _arrival_count(rho0, r_cap, nu) + 1
+    return max(dashes - 1, 0), reach_factor(nu, dashes) * rho0
 
 
 def reach_factor(nu: float, ell: int) -> float:
@@ -170,9 +156,8 @@ def reach_factor(nu: float, ell: int) -> float:
     Per unit of current separation, the time the pursuer needs to chase down
     the evader through ell more sensings plus the final blind dash.
     """
-    _check_nu(nu)
-    if type(ell) is not int or ell < 0:
-        raise ValueError(f"ell must be a nonnegative integer, got {ell!r}")
+    _in_unit(nu, "nu")
+    _index(ell, "ell")
     return (1.0 - nu ** (ell + 1)) / (1.0 - nu)
 
 
@@ -180,9 +165,8 @@ def sensing_delay(nu: float, ell: int, tau: float) -> float:
     """Time from a fix to the waiting pursuer's next one: (1 - nu) * tau / (1 - nu^(ell+1)).
 
     ``tau`` and ``ell`` are the time and the budget left at the fix."""
-    _check_nu(nu)
-    if type(ell) is not int or ell < 0:
-        raise ValueError(f"ell must be a nonnegative integer, got {ell!r}")
+    _in_unit(nu, "nu")
+    _index(ell, "ell")
     return (1.0 - nu) * tau / (1.0 - nu ** (ell + 1))
 
 
@@ -243,13 +227,11 @@ class ValueBound:
 def _checked(x, what: str):
     """``x`` as a Python number or a float array, once every value lies in [0, inf)."""
     if isinstance(x, (int, float)):
-        if 0.0 <= x < math.inf:  # NaN fails too
-            return x
-        raise ValueError(f"{what} must be nonnegative and finite, got {x}")
+        return _nonnegative(x, what)
     x = np.asarray(x, dtype=float)
     ok = (0.0 <= x) & (x < math.inf)
     if not ok.all():
-        raise ValueError(f"{what} must be nonnegative and finite, got {x[~ok].tolist()[0]}")
+        _nonnegative(x[~ok].tolist()[0], what)  # raises, naming the first bad element
     return x
 
 
@@ -383,13 +365,10 @@ def matching_sense_count(rho0: float, t_f: float, nu: float, r_cap: float) -> in
     of the slack region); outside that precondition the closed form is not
     covered and a RegionNotCoveredError is raised.
     """
-    _check_nu(nu)
-    if not (math.isfinite(r_cap) and r_cap > 0):
-        raise ValueError(f"r_cap must be positive and finite, got {r_cap}")
-    if not (math.isfinite(rho0) and rho0 > 0):
-        raise ValueError(f"rho0 must be positive and finite, got {rho0}")
-    if not (math.isfinite(t_f) and t_f >= 0):
-        raise ValueError(f"t_f must be nonnegative and finite, got {t_f}")
+    _in_unit(nu, "nu")
+    _positive(r_cap, "r_cap")
+    _positive(rho0, "rho0")
+    _nonnegative(t_f, "t_f")
     if nu * rho0 <= math.sqrt(1.0 + nu * nu) * r_cap:
         raise RegionNotCoveredError(
             f"need nu*rho0 > sqrt(1+nu^2)*r_cap, got {nu * rho0} <= "
@@ -402,11 +381,9 @@ def matching_sense_count(rho0: float, t_f: float, nu: float, r_cap: float) -> in
 
 def continuous_sensing_payoff(rho0: float, t_f: float, nu: float, phi: PayoffSpec) -> float:
     """Payoff when the pursuer observes continuously: phi(max(rho0-(1-nu)t_f, 0))."""
-    _check_nu(nu)
-    if not (math.isfinite(rho0) and rho0 >= 0):
-        raise ValueError(f"rho0 must be nonnegative and finite, got {rho0}")
-    if not (math.isfinite(t_f) and t_f >= 0):
-        raise ValueError(f"t_f must be nonnegative and finite, got {t_f}")
+    _in_unit(nu, "nu")
+    _nonnegative(rho0, "rho0")
+    _nonnegative(t_f, "t_f")
     return phi.evaluate(max(rho0 - (1.0 - nu) * t_f, 0.0))
 
 

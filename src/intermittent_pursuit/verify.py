@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (CHECK_TOL, ROUND_TOL, TIME_EPS, GameConfig, PayoffSpec, Vec2, before,
-                   exceeds, line_of_sight, perpendicular)
+from .core import (CHECK_TOL, ROUND_TOL, TIME_EPS, GameConfig, PayoffSpec, Vec2, _count,
+                   _positive, before, exceeds, line_of_sight, perpendicular)
 from .engine import Outcome, _play, exact_expected_payoff, simulate
 from .strategies import (
     ArrivalSensingPursuer,
@@ -124,8 +124,7 @@ def _early_sense(config: GameConfig, sense_time: float) -> ScriptedPursuer:
 
     It walks toward the free fix, stopping there if it arrives early.
     """
-    if not sense_time > 0:
-        raise ValueError(f"sense_time must be positive, got {sense_time}")
+    _positive(sense_time, "sense_time")
     if config.n == 0:
         return ScriptedPursuer(then=WaitingPursuer())
     walk_end = min(config.initial_distance, float(sense_time))
@@ -167,9 +166,7 @@ def random_piecewise_evader(config: GameConfig, rng: np.random.Generator) -> Scr
         angle = float(rng.uniform(0.0, 2.0 * math.pi))
         legs.append((t_end, Vec2(speed * math.cos(angle), speed * math.sin(angle))))
         last = t_end
-    if not legs:
-        legs = [(config.t_f, Vec2(0.0, 0.0))]
-    return ScriptedEvader(legs)
+    return ScriptedEvader(legs)  # with no legs it stands still
 
 
 def default_pursuer_config() -> GameConfig:
@@ -383,8 +380,7 @@ def jensen_bound_check() -> VerificationReport:
 
 def jensen_random_sweep(n: int = 1000, seed: int = 0) -> VerificationReport:
     """Randomized version of the pointwise floor test."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _count(n, "n")
     rng = trial_rng(seed, 1)
     points = []
     for _ in range(n):
@@ -465,11 +461,6 @@ def capture_time_bound_check(
     return VerificationReport("capture_time", len(entries), worst, tuple(failures), tuple(notes))
 
 
-def _check_dt(dt: float) -> None:
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-
-
 def dense_oracle(config: GameConfig, pursuer, evader, dt: float = 1e-3) -> Outcome:
     """Brute-force cross-check of the engine by dense time sampling.
 
@@ -479,7 +470,7 @@ def dense_oracle(config: GameConfig, pursuer, evader, dt: float = 1e-3) -> Outco
     root finding.  A capture the engine reports at time t is seen by the
     oracle no later than t + dt whenever the approach is transversal.
     """
-    _check_dt(dt)
+    _positive(dt, "dt")
 
     def first_contact(t, t_next, px, py, vpx, vpy, ex, ey, vex, vey):
         j_lo = math.floor(t / dt) + 1
@@ -555,9 +546,8 @@ def oracle_agreement_check(n_scenarios: int = 50, dt: float = 1e-3,
     sampled scan cannot certify them either way.  A run that compares no
     capture fails.
     """
-    if n_scenarios < 1:
-        raise ValueError(f"n_scenarios must be positive, got {n_scenarios}")
-    _check_dt(dt)
+    _count(n_scenarios, "n_scenarios")
+    _positive(dt, "dt")
     accepted = 0
     cand = 0
     captures = 0
@@ -612,8 +602,7 @@ def run_suite(
     dt: float = 1e-3,
 ) -> list[VerificationReport]:
     """Run one named suite; ``all`` is handled by the caller.  Every suite needs trials >= 1."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    _count(trials, "trials")
     if name == "pursuer":
         return [pursuer_guarantee_check(config, trials=trials, seed=seed)]
     if name == "evader":

@@ -274,6 +274,21 @@ class TestValueGrid:
         assert flag in err and value in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("steps, ell, cells", [
+        ("20000", "0", 400_000_000),
+        ("3163", "0", 10_004_569),  # just past the cap
+        ("2", "0:1000000000000", 4_000_000_000_004),  # the ell range is never listed
+    ])
+    def test_oversized_grid_fails_fast(self, steps, ell, cells, tmp_path, capsys):
+        code, stdout, err = run_cli(
+            "value-grid", "--nu", "0.7", "--r-cap", "0.1", "--rho-max", "3", "--tau-max", "6",
+            "--rho-steps", steps, "--tau-steps", steps, "--ell", ell,
+            "--out", str(tmp_path / "grid.csv"), capsys=capsys)
+        assert code == 2 and stdout == ""
+        assert err == (f"error: the grid has {cells} cells, more than the 10000000 allowed; "
+                       f"its CSV would take about {cells * 54 / 1e9:.3g} GB\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_value_cells_format_each_distinct_number_once(self, tmp_path, monkeypatch):
         """``fmt_g`` is called once per distinct value bit pattern of each ell's table,
         plus once per rho and per tau.
@@ -439,6 +454,16 @@ class TestVerify:
             reports.append(out)
         assert reports[0] == reports[1]
         assert json.loads(reports[0])[0]["suite"] == suite
+
+    def test_pursuer_at_a_zero_horizon(self, config_json, capsys):
+        """At t_f = 0 every random evader draws no leg and stands still."""
+        path = config_json(default_config_payload(t_f=0.0, n=1))
+        code, out, err = run_cli("verify", "pursuer", "--trials", "20", "--config", path,
+                                 capsys=capsys)
+        assert code == 0
+        report, = json.loads(out)
+        assert report["passed"] is True and report["trials"] == 20
+        assert "pursuer: PASS" in err
 
     def test_oracle_rejects_an_infinite_step(self, capsys):
         code, out, err = run_cli("verify", "oracle", "--trials", "200", "--dt", "inf",
