@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (ROUND_TOL, TIME_EPS, EnumerationCapError, GameConfig, Vec2, _count,
-                   _fmt_cells, _positive, exceeds, write_csv)
+                   _fmt_cells, _new, _positive, exceeds, write_csv)
 from .strategies import (EquilibriumEvader, EvaderInfo, PursuerAction, PursuerInfo, SensingLog,
                          _Flips)
 
@@ -192,9 +192,17 @@ def _velocity(action, cap: float, role: str) -> Vec2:
     velocity = action.velocity
     if not isinstance(velocity, Vec2):
         raise ValueError(f"{role} velocity must be a Vec2, got {velocity!r}")
-    if exceeds(velocity.norm(), cap):
-        raise ValueError(f"{role} speed {velocity.norm()} exceeds the cap {cap}")
+    speed = math.hypot(velocity.x, velocity.y)
+    if exceeds(speed, cap):
+        raise ValueError(f"{role} speed {speed} exceeds the cap {cap}")
     return velocity
+
+
+def _first_contact(t: float, t_next: float, px: float, py: float, vpx: float, vpy: float,
+                   ex: float, ey: float, vex: float, vey: float, r_cap: float) -> Optional[float]:
+    """``simulate``'s finder: the absolute time of the first capture on [t, t_next], or None."""
+    s = _capture_root(px, py, vpx, vpy, ex, ey, vex, vey, r_cap, t_next - t)
+    return None if s is None else t + s
 
 
 def _play(config: GameConfig, pursuer, evader, first_contact,
@@ -202,9 +210,10 @@ def _play(config: GameConfig, pursuer, evader, first_contact,
     """The event loop that ``simulate`` and the dense oracle share.
 
     Positions advance as floats.  ``first_contact(t, t_next, px, py, vpx,
-    vpy, ex, ey, vex, vey)`` returns the absolute time of the first capture
-    on [t, t_next] under the given constant velocities, or None; it is the
-    only step in which the callers differ.  A ``review_dt`` whose t_f /
+    vpy, ex, ey, vex, vey, r_cap)`` returns the absolute time of the first
+    capture on [t, t_next] under the given constant velocities, or None; it
+    is the only step in which the callers differ, and a module-level
+    function, so a game builds no closure.  A ``review_dt`` whose t_f /
     review_dt exceeds ``_MAX_EVENTS`` is rejected before the first event.
 
     The game starts from ``start``, by default the initial branch point;
@@ -213,25 +222,31 @@ def _play(config: GameConfig, pursuer, evader, first_contact,
     its count and pursuer action.  ``points``, when given, gets branch point
     k appended at the first event whose log holds more than k entries; a
     resumed game's list must already hold the points up to its start.
+
+    Every record the loop builds goes through ``core._new``: the same
+    fields and type, without a call to the generated ``NamedTuple.__new__``.
     """
     max_events = _MAX_EVENTS  # read once: the loop checks it every event
+    t_f, r_cap, nu = config.t_f, config.r_cap, config.nu
     for review_dt in (getattr(pursuer, "review_dt", None), getattr(evader, "review_dt", None)):
-        if review_dt and config.t_f / review_dt > max_events:
+        if review_dt and t_f / review_dt > max_events:
             raise RuntimeError(f"event budget {max_events} is below the estimated "
-                               f"{config.t_f / review_dt:.6g} events of review_dt={review_dt}")
+                               f"{t_f / review_dt:.6g} events of review_dt={review_dt}")
 
     continuous = bool(getattr(pursuer, "continuous_observation", False))
     if start is None:
-        start = _BranchPoint(0.0, config.x_p0, config.x_e0, SensingLog.initial(config), 0, None,
-                             (), ())
+        start = _new(_BranchPoint, (0.0, config.x_p0, config.x_e0, SensingLog.initial(config), 0,
+                                    None, (), ()))
     t, x_p, x_e, log, events, p_action, p_segments, e_segments = start
     p_segments, e_segments = list(p_segments), list(e_segments)
+    px, py = x_p
+    ex, ey = x_e
     capture_time = None
-    if events == 0 and math.hypot(x_p.x - x_e.x, x_p.y - x_e.y) <= config.r_cap:
+    if events == 0 and math.hypot(px - ex, py - ey) <= r_cap:
         capture_time = 0.0
-    px, py, ex, ey = x_p.x, x_p.y, x_e.x, x_e.y
+    t_stop = t_f - TIME_EPS
 
-    while capture_time is None and t < config.t_f - TIME_EPS:
+    while capture_time is None and t < t_stop:
         if p_action is None:  # a resumed event already has its pursuer action
             events += 1
             if events > max_events:
@@ -240,48 +255,44 @@ def _play(config: GameConfig, pursuer, evader, first_contact,
             # Sensing phase: re-query until the pursuer stops asking.  A second
             # request at the same instant is rejected by the log itself.
             live = x_e if continuous else None
-            p_action = pursuer.act(PursuerInfo(t, x_p, log, config, live))
+            p_action = pursuer.act(_new(PursuerInfo, (t, x_p, log, config, live)))
             while p_action.sense_now:
                 log = log.record(t, x_e, x_p)
-                p_action = pursuer.act(PursuerInfo(t, x_p, log, config, live))
+                p_action = pursuer.act(_new(PursuerInfo, (t, x_p, log, config, live)))
             if points is not None and len(points) < len(log.times):
-                point = _BranchPoint(t, x_p, x_e, log, events, p_action,
-                                     tuple(p_segments), tuple(e_segments))
+                point = _new(_BranchPoint, (t, x_p, x_e, log, events, p_action,
+                                            tuple(p_segments), tuple(e_segments)))
                 points += [point] * (len(log.times) - len(points))
         v_p = _velocity(p_action, 1.0, "pursuer")
 
-        e_info = EvaderInfo(t, x_e, x_p, log, config)
-        e_action = evader.act(e_info)
-        v_e = _velocity(e_action, config.nu, "evader")
+        e_action = evader.act(_new(EvaderInfo, (t, x_e, x_p, log, config)))
+        v_e = _velocity(e_action, nu, "evader")
 
-        t_next = config.t_f
+        t_next = t_f
         for review in (p_action.review_at, e_action.review_at):
             if review is not None and t + TIME_EPS < review < t_next:
                 t_next = review
         p_action = None
 
-        vpx, vpy, vex, vey = v_p.x, v_p.y, v_e.x, v_e.y
-        t_hit = first_contact(t, t_next, px, py, vpx, vpy, ex, ey, vex, vey)
+        vpx, vpy = v_p
+        vex, vey = v_e
+        t_hit = first_contact(t, t_next, px, py, vpx, vpy, ex, ey, vex, vey, r_cap)
         if t_hit is not None:
             t_next = capture_time = t_hit
         if t_next > t:
-            p_segments.append(Segment(t, t_next, x_p, v_p))
-            e_segments.append(Segment(t, t_next, x_e, v_e))
+            p_segments.append(_new(Segment, (t, t_next, x_p, v_p)))
+            e_segments.append(_new(Segment, (t, t_next, x_e, v_e)))
             dt = t_next - t
             px, py = px + vpx * dt, py + vpy * dt
             ex, ey = ex + vex * dt, ey + vey * dt
-            x_p, x_e = Vec2(px, py), Vec2(ex, ey)
+            x_p, x_e = _new(Vec2, (px, py)), _new(Vec2, (ex, ey))
         t = t_next
 
     final_distance = math.hypot(px - ex, py - ey)
-    outcome = Outcome(
-        capture_time=capture_time,
-        final_distance=final_distance,
-        payoff=0.0 if capture_time is not None else config.phi.evaluate(final_distance),
-        sensing_times=log.times[1:],
-    )
-    return SimulationResult(outcome, Trajectory(config.x_p0, tuple(p_segments)),
-                            Trajectory(config.x_e0, tuple(e_segments)))
+    payoff = 0.0 if capture_time is not None else config.phi.evaluate(final_distance)
+    outcome = _new(Outcome, (capture_time, final_distance, payoff, log.times[1:]))
+    return _new(SimulationResult, (outcome, _new(Trajectory, (config.x_p0, tuple(p_segments))),
+                                   _new(Trajectory, (config.x_e0, tuple(e_segments)))))
 
 
 def simulate(config: GameConfig, pursuer, evader, *, _fork=None) -> SimulationResult:
@@ -299,11 +310,7 @@ def simulate(config: GameConfig, pursuer, evader, *, _fork=None) -> SimulationRe
     that gets this game's branch points.  A resumed game returns a result
     equal (==) to the one a fresh game gives, as long as the pursuer is pure.
     """
-    def first_contact(t, t_next, px, py, vpx, vpy, ex, ey, vex, vey):
-        s = _capture_root(px, py, vpx, vpy, ex, ey, vex, vey, config.r_cap, t_next - t)
-        return None if s is None else t + s
-
-    return _play(config, pursuer, evader, first_contact, *(_fork or ()))
+    return _play(config, pursuer, evader, _first_contact, *(_fork or ()))
 
 
 def _leaves(config: GameConfig, pursuer) -> list[tuple[float, int]]:

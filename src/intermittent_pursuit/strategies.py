@@ -28,8 +28,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import (CHECK_TOL, BudgetViolationError, GameConfig, Vec2, _bearing, _index, _number,
-                   _positive, _seed, _vec_from, before, line_of_sight)
+from .core import (CHECK_TOL, BudgetViolationError, GameConfig, Vec2, _bearing, _index, _new,
+                   _number, _positive, _seed, _vec_from, before, line_of_sight)
 from .value import holds_at_fix, sensing_delay, trigger_coefficient
 
 __all__ = [
@@ -163,8 +163,8 @@ class ContinuousPursuer:
     def act(self, info: PursuerInfo) -> PursuerAction:
         if info.evader is None:
             raise ValueError("continuous pursuer queried without a live evader position")
-        return PursuerAction(line_of_sight(info.own, info.evader),
-                             review_at=info.time + self.review_dt)
+        return PursuerAction(line_of_sight(info.own, info.evader), False,
+                             info.time + self.review_dt)
 
 
 class ArrivalSensingPursuer:
@@ -182,17 +182,17 @@ class ArrivalSensingPursuer:
         cfg = info.config
         if cfg.nu * rho <= cfg.r_cap:
             # Endgame: the evader cannot escape the capture disc of this ray.
-            return PursuerAction(line_of_sight(anchor_p, anchor_e))
+            return PursuerAction(line_of_sight(anchor_p, anchor_e), False, None)
         remaining = info.own.dist(anchor_e)
         if remaining > CHECK_TOL:
-            return PursuerAction(line_of_sight(info.own, anchor_e),
-                                 review_at=info.time + remaining)
+            return PursuerAction(line_of_sight(info.own, anchor_e), False,
+                                 info.time + remaining)
         t_sense = self._sense_at(info, anchor_t, rho)
         if before(info.time, t_sense):
-            return PursuerAction(review_at=t_sense)
+            return PursuerAction(_STILL, False, t_sense)
         if info.log.budget_remaining > 0:
-            return PursuerAction(sense_now=True)
-        return PursuerAction()  # budget exhausted: park at the fix
+            return PursuerAction(_STILL, True, None)
+        return PursuerAction(_STILL, False, None)  # budget exhausted: park at the fix
 
     def _sense_at(self, info: PursuerInfo, anchor_t: float, rho: float) -> float:
         """When to sense once parked at the fix; ``before(t, t)`` is False, so at once."""
@@ -237,11 +237,11 @@ class SelfTriggeredPursuer:
         cfg = info.config
         heading = line_of_sight(anchor_p, anchor_e)
         if info.log.budget_remaining == 0:
-            return PursuerAction(heading)
+            return PursuerAction(heading, False, None)
         t_next = anchor_t + trigger_coefficient(cfg.nu) * rho
         if not before(info.time, t_next):
-            return PursuerAction(heading, sense_now=True)
-        return PursuerAction(heading, review_at=t_next)
+            return PursuerAction(heading, True, None)
+        return PursuerAction(heading, False, t_next)
 
 
 class RadialEvader:
@@ -257,7 +257,7 @@ class RadialEvader:
 
     def act(self, info: EvaderInfo) -> EvaderAction:
         away = line_of_sight(info.pursuer, info.own)
-        return EvaderAction(away * info.config.nu, review_at=info.time + self.review_dt)
+        return EvaderAction(away * info.config.nu, info.time + self.review_dt)
 
 
 class EquilibriumEvader:
@@ -295,14 +295,14 @@ class EquilibriumEvader:
         ell = log.budget_remaining
         nu = cfg.nu
         if (ell == 0 and tau <= rho) or (ell >= 1 and tau < rho):  # terminal interval
-            return EvaderAction(Vec2(bx * nu, by * nu))
+            return EvaderAction(_new(Vec2, (bx * nu, by * nu)), None)
         interval = len(times) - 1
         try:
             theta = self.thetas[interval]
         except IndexError:
             raise ValueError(f"theta stream exhausted: interval {interval}, "
                              f"only {len(self.thetas)} draws") from None
-        return EvaderAction(Vec2(-by * theta * nu, bx * theta * nu))
+        return EvaderAction(_new(Vec2, (-by * theta * nu, bx * theta * nu)), None)
 
 
 class ScriptedEvader:
@@ -317,8 +317,8 @@ class ScriptedEvader:
     def act(self, info: EvaderInfo) -> EvaderAction:
         for t_end, velocity in self.legs:
             if info.time < t_end:
-                return EvaderAction(velocity, review_at=t_end)
-        return EvaderAction()
+                return EvaderAction(velocity, t_end)
+        return EvaderAction(_STILL, None)
 
 
 class ScriptedPursuer:
@@ -337,13 +337,13 @@ class ScriptedPursuer:
     def act(self, info: PursuerInfo) -> PursuerAction:
         for t_end, velocity in self.legs:
             if info.time < t_end:
-                return PursuerAction(velocity, review_at=t_end)
+                return PursuerAction(velocity, False, t_end)
         k = len(info.log.times) - 1
         if k < len(self.sense_at):
             if before(info.time, self.sense_at[k]):
-                return PursuerAction(review_at=self.sense_at[k])
-            return PursuerAction(sense_now=True)
-        return self.then.act(info) if self.then is not None else PursuerAction()
+                return PursuerAction(_STILL, False, self.sense_at[k])
+            return PursuerAction(_STILL, True, None)
+        return PursuerAction(_STILL, False, None) if self.then is None else self.then.act(info)
 
 
 def _legs(legs: Sequence[tuple[float, Vec2]]) -> tuple[tuple[float, Vec2], ...]:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (CHECK_TOL, ROUND_TOL, TIME_EPS, GameConfig, PayoffSpec, Vec2, _count,
+from .core import (CHECK_TOL, ROUND_TOL, TIME_EPS, GameConfig, PayoffSpec, Vec2, _count, _new,
                    _positive, before, exceeds, line_of_sight, perpendicular)
 from .engine import Outcome, _play, exact_expected_payoff, simulate
 from .strategies import (
@@ -28,7 +28,7 @@ from .strategies import (
     _Flips,
     trial_rng,
 )
-from .value import sense_count_arrival, sensing_delay, travel_budget, value_bound
+from .value import STAGE0_STOP, sense_count_arrival, sensing_delay, travel_budget, value_bound
 
 __all__ = [
     "VerificationReport",
@@ -108,15 +108,17 @@ def _endpoint_run(config: GameConfig, alpha1: float, alpha2: float,
     """
     if config.initial_distance == 0.0:
         return ScriptedPursuer()  # caught at t = 0, before any query; no bearing
-    bearing, across = axes or _initial_axes(config)
-    offset = bearing * float(alpha1) + across * float(alpha2)
-    length = offset.norm()
+    (bx, by), (cx, cy) = axes or _initial_axes(config)
+    alpha1, alpha2 = float(alpha1), float(alpha2)
+    ox, oy = bx * alpha1 + cx * alpha2, by * alpha1 + cy * alpha2
+    length = math.hypot(ox, oy)
     if length == 0.0:
         return ScriptedPursuer()
-    if exceeds(length, config.t_f):
-        raise ValueError(f"endpoint offset {length} is beyond reach {config.t_f}")
-    return ScriptedPursuer(((config.t_f,
-                             offset * (1.0 / length) * min(length / config.t_f, 1.0)),))
+    t_f = config.t_f
+    if exceeds(length, t_f):
+        raise ValueError(f"endpoint offset {length} is beyond reach {t_f}")
+    k, pace = 1.0 / length, min(length / t_f, 1.0)
+    return ScriptedPursuer(((t_f, _new(Vec2, (ox * k * pace, oy * k * pace))),))
 
 
 def _early_sense(config: GameConfig, sense_time: float) -> ScriptedPursuer:
@@ -184,11 +186,14 @@ def default_evader_config() -> GameConfig:
     return replace(default_pursuer_config(), t_f=2.0, n=0)
 
 
-def _with_scripted(config: GameConfig, entries: list, trials: int, seed: int) -> list:
-    """The structured adversaries, then seeded random evaders up to ``trials`` in all."""
+def _with_scripted(config: GameConfig, entries: list, trials: int, seed: int):
+    """The structured adversaries, then seeded random evaders up to ``trials`` in all.
+
+    Each random evader is built only when reached, so a suite holds one at a time.
+    """
+    yield from entries
     for i in range(len(entries), trials):
-        entries.append((f"scripted_{i}", random_piecewise_evader(config, trial_rng(seed, i))))
-    return entries
+        yield f"scripted_{i}", random_piecewise_evader(config, trial_rng(seed, i))
 
 
 def pursuer_guarantee_check(
@@ -214,15 +219,19 @@ def pursuer_guarantee_check(
         ("dodge_seeded", EquilibriumEvader(_Flips.seeded(seed, 0, draws))),
     ], trials, seed)
 
-    payoffs = [simulate(config, WaitingPursuer(), evader).outcome.payoff for _, evader in entries]
-    failures = [f"{label}: payoff {payoff:.12g} exceeds bound {bound.value:.12g}"
-                for (label, _), payoff in zip(entries, payoffs) if payoff - bound.value > CHECK_TOL]
-    worst = max(payoffs) - bound.value
+    played, most, failures = 0, -math.inf, []
+    for label, evader in entries:
+        payoff = simulate(config, WaitingPursuer(), evader).outcome.payoff
+        played += 1
+        most = max(most, payoff)
+        if payoff - bound.value > CHECK_TOL:
+            failures.append(f"{label}: payoff {payoff:.12g} exceeds bound {bound.value:.12g}")
+    worst = most - bound.value
     notes = [
         f"bound {bound.value:.12g} ({bound.case_tag}, tight={bound.is_tight})",
         f"worst payoff {worst + bound.value:.12g}",
     ]
-    return VerificationReport("pursuer", len(entries), worst, tuple(failures), tuple(notes))
+    return VerificationReport("pursuer", played, worst, tuple(failures), tuple(notes))
 
 
 def evader_guarantee_check(config: Optional[GameConfig] = None) -> VerificationReport:
@@ -236,9 +245,9 @@ def evader_guarantee_check(config: Optional[GameConfig] = None) -> VerificationR
     waiting policy with its first walk leg turned by 4 angles at 3 speed
     fractions, 8 mistimed first sensings when n >= 1, and the prescribed
     waiting pursuer itself.
-    In the no-budget stop case the endpoint equal to the initial separation
-    along the bearing must achieve the bound exactly.  Expectations are
-    exact sums over the orientation branches.
+    In the no-budget stop case (``stage0_case2a``) the endpoint equal to the
+    initial separation along the bearing must achieve the bound exactly.
+    Expectations are exact sums over the orientation branches.
     """
     config = config or default_evader_config()
     rho0 = config.initial_distance
@@ -280,17 +289,19 @@ def evader_guarantee_check(config: Optional[GameConfig] = None) -> VerificationR
     prescribed = len(deviations)
     deviations.append(("prescribed", WaitingPursuer()))
 
-    # Stop case with no budget: the straight run to the free fix, at the
-    # pace that arrives exactly at the horizon, must tie the bound.
-    check_optimum = (config.n == 0 and config.t_f >= rho0 * (1.0 - ROUND_TOL)
-                     and not exceeds(rho0, config.t_f))
-    if check_optimum:
+    # The straight run to the free fix, at the pace that arrives exactly at
+    # the horizon, is played whenever it is in reach with no budget; in the
+    # stop case it must tie the bound (at a capture state it need not).
+    play_optimum = (config.n == 0 and config.t_f >= rho0 * (1.0 - ROUND_TOL)
+                    and not exceeds(rho0, config.t_f))
+    if play_optimum:
         deviations.append(("endpoint_opt", _endpoint_run(config, rho0, 0.0, axes)))
 
     expected = [exact_expected_payoff(config, pursuer) for _, pursuer in deviations]
     failures = [f"{label}: E[payoff] {e:.12g} below bound {bound.value:.12g}"
                 for (label, _), e in zip(deviations, expected) if bound.value - e > CHECK_TOL]
-    if check_optimum and abs(expected[-1] - bound.value) > CHECK_TOL:
+    if (play_optimum and bound.case_tag == STAGE0_STOP
+            and abs(expected[-1] - bound.value) > CHECK_TOL):
         failures.append(f"endpoint_opt: E[payoff] {expected[-1]:.12g} does not tie the bound "
                         f"{bound.value:.12g}")
     least = min(expected)
@@ -432,9 +443,9 @@ def capture_time_bound_check(
         ("stationary", ScriptedEvader(())),
     ], trials, seed)
 
-    worst = -math.inf
-    failures = []
+    played, worst, failures = 0, -math.inf, []
     for label, evader in entries:
+        played += 1
         result = simulate(config, ArrivalSensingPursuer(), evader)
         if not result.outcome.captured:
             failures.append(f"{label}: no capture within twice the bound")
@@ -458,7 +469,7 @@ def capture_time_bound_check(
             failures.append(f"stationary: capture {capture_time:.12g} != {rho0 - r_cap:.12g}")
     notes = [f"time bound {time_bound:.12g}, sensing bound {max_senses}, "
              f"travel budget {max_travel:.12g}"]
-    return VerificationReport("capture_time", len(entries), worst, tuple(failures), tuple(notes))
+    return VerificationReport("capture_time", played, worst, tuple(failures), tuple(notes))
 
 
 def dense_oracle(config: GameConfig, pursuer, evader, dt: float = 1e-3) -> Outcome:
@@ -472,7 +483,7 @@ def dense_oracle(config: GameConfig, pursuer, evader, dt: float = 1e-3) -> Outco
     """
     _positive(dt, "dt")
 
-    def first_contact(t, t_next, px, py, vpx, vpy, ex, ey, vex, vey):
+    def first_contact(t, t_next, px, py, vpx, vpy, ex, ey, vex, vey, r_cap):
         j_lo = math.floor(t / dt) + 1
         j_hi = math.floor(t_next / dt)
         sample_times = np.arange(j_lo, j_hi + 1, dtype=float) * dt
@@ -482,7 +493,7 @@ def dense_oracle(config: GameConfig, pursuer, evader, dt: float = 1e-3) -> Outco
         offsets = sample_times - t
         dx = (ex - px) + (vex - vpx) * offsets
         dy = (ey - py) + (vey - vpy) * offsets
-        hit = np.nonzero(np.hypot(dx, dy) <= config.r_cap)[0]
+        hit = np.nonzero(np.hypot(dx, dy) <= r_cap)[0]
         return float(sample_times[hit[0]]) if hit.size else None
 
     return _play(config, pursuer, evader, first_contact).outcome

@@ -442,6 +442,15 @@ class TestVerify:
         assert "20 deviations with a fix within a rounding step of t = 0 skipped" in report["notes"]
         assert "evader: PASS" in err
 
+    def test_evader_passes_at_a_capture_state(self, config_json, capsys):
+        """Criterion 5's config 12: endpoint_opt is played, but need not tie a bound of 0."""
+        path = config_json(default_config_payload(x_e0=[0.13, 0.0], t_f=1.0, n=0))
+        code, out, err = run_cli("verify", "evader", "--config", path, capsys=capsys)
+        assert code == 0 and "evader: PASS" in err
+        report, = json.loads(out)
+        assert report["notes"][0] == "bound 0 (stage0_case1, tight=True)"
+        assert report["trials"] == 2374 and report["worst_violation"] == 0.0
+
     @pytest.mark.parametrize("suite", ["evader", "pursuer"])
     def test_budget_past_any_tuple(self, suite, config_json, capsys):
         """At a budget of 2^63 or more a suite reports what it reports at 10^4."""

@@ -18,10 +18,12 @@ from intermittent_pursuit import (
     EnumerationCapError,
     EquilibriumEvader,
     EvaderAction,
+    EvaderInfo,
     GameConfig,
     Outcome,
     PayoffSpec,
     PursuerAction,
+    PursuerInfo,
     RadialEvader,
     ScriptedEvader,
     ScriptedPursuer,
@@ -380,8 +382,9 @@ class TestSimulate:
 
         Both ways a ``Vec2`` is built are counted: its constructor, and
         ``core._new``, through which its arithmetic and ``core``'s helpers
-        build theirs.  Each is charged to the first caller outside ``core``,
-        so ``x_p + v_p * dt`` written in the engine counts as the engine's.
+        build theirs and which the engine calls under its own name.  Each is
+        charged to the first caller outside ``core``, so ``x_p + v_p * dt``
+        written in the engine counts as the engine's.
         """
         built = {"engine": 0, "other": 0}
 
@@ -406,12 +409,13 @@ class TestSimulate:
         pursuer, evader = WaitingPursuer(), RadialEvader(review_dt=0.01)
         monkeypatch.setattr(Vec2, "__new__", counting_new)
         monkeypatch.setattr(core, "_new", counting_fast_new)
+        monkeypatch.setattr(engine, "_new", counting_fast_new)
         result = simulate(cfg, pursuer, evader)
         monkeypatch.undo()
         events = len(result.pursuer_trajectory.segments)
         assert events > 500
         assert built["other"] > 0  # the count sees strategy-side constructions too
-        assert built["engine"] <= 2 * events
+        assert built["engine"] == 2 * events  # one position per player per event
 
     def test_outcome_json_layout(self):
         cfg = make_config(rho0=0.13, t_f=5.0, n=0)
@@ -425,6 +429,148 @@ class TestSimulate:
         miss = Outcome(None, 1.0, 0.9, (0.5,)).to_json_dict()
         assert miss["capture_time"] is None and miss["captured"] is False
         assert Outcome(0.0, 0.05, 0.0, ()).captured is True  # caught at t = 0
+
+
+# Keyword-built twins of the loop's records: each field's type is fixed by
+# where it sits, not read from the record, so a misbuilt record differs.
+def _vec(v) -> Vec2:
+    return Vec2(x=v[0], y=v[1])
+
+
+def _segment(seg) -> Segment:
+    return Segment(t_start=seg[0], t_end=seg[1], x0=_vec(seg[2]), velocity=_vec(seg[3]))
+
+
+def _trajectory(traj) -> Trajectory:
+    return Trajectory(start_pos=_vec(traj[0]), segments=tuple(map(_segment, traj[1])))
+
+
+def _result(result) -> SimulationResult:
+    o = result[0]
+    return SimulationResult(
+        outcome=Outcome(capture_time=o[0], final_distance=o[1], payoff=o[2], sensing_times=o[3]),
+        pursuer_trajectory=_trajectory(result[1]), evader_trajectory=_trajectory(result[2]))
+
+
+def _action(action):
+    """The action rebuilt by keyword, each field in the type its default has."""
+    review_at = None if action[-1] is None else float(action[-1])
+    if len(action) == 3:
+        return PursuerAction(velocity=_vec(action[0]), sense_now=bool(action[1]),
+                             review_at=review_at)
+    return EvaderAction(velocity=_vec(action[0]), review_at=review_at)
+
+
+def _info(info):
+    if len(info) == 5 and isinstance(info[4], GameConfig):
+        return EvaderInfo(time=info[0], own=_vec(info[1]), pursuer=_vec(info[2]), log=info[3],
+                          config=info[4])
+    return PursuerInfo(time=info[0], own=_vec(info[1]), log=info[2], config=info[3],
+                       evader=None if info[4] is None else _vec(info[4]))
+
+
+def _point(point):
+    return engine._BranchPoint(
+        t=point[0], x_p=_vec(point[1]), x_e=_vec(point[2]), log=point[3], events=point[4],
+        p_action=_action(point[5]), p_segments=tuple(map(_segment, point[6])),
+        e_segments=tuple(map(_segment, point[7])))
+
+
+def _assert_same_record(record, reference):
+    """Equal, and of the same type at every level of nesting."""
+    assert type(record) is type(reference), (record, reference)
+    assert record == reference
+    if isinstance(reference, tuple):
+        for part, expected in zip(record, reference):
+            _assert_same_record(part, expected)
+
+
+class _Recording:
+    """A strategy that answers as the one it wraps and keeps each (info, action)."""
+
+    def __init__(self, inner, seen):
+        self.inner, self.seen = inner, seen
+
+    def __getattr__(self, name):  # review_dt and continuous_observation
+        return getattr(self.inner, name)
+
+    def act(self, info):
+        action = self.inner.act(info)
+        self.seen.append((info, action))
+        return action
+
+
+class TestLoopRecords:
+    """The loop builds its records without the generated constructors; they must not tell."""
+
+    @settings(max_examples=60)
+    @given(
+        nu=st.floats(0.2, 0.9),
+        rho=st.floats(0.0, 3.0),
+        angle=st.floats(0.0, 2.0 * math.pi),
+        t_f=st.floats(0.0, 4.0),
+        n=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        pursuer=st.sampled_from(("continuous", "prop1", "thm1", "aleem", "scripted")),
+        evader=st.sampled_from(("radial", "equilibrium", "scripted")),
+        legs=st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 1.0),
+                                st.floats(0.0, 2.0 * math.pi)), max_size=3),
+        fixes=st.lists(st.floats(0.05, 1.0), max_size=3),
+        hand_off=st.booleans(),
+    )
+    # every branch of each built-in strategy's act: holds, fixes, an empty budget, hand-offs
+    @example(nu=0.7, rho=1.0, angle=0.3, t_f=5.0, n=2, seed=1, pursuer="thm1", evader="radial",
+             legs=[], fixes=[], hand_off=False)
+    @example(nu=0.7, rho=2.0, angle=1.0, t_f=4.0, n=2, seed=2, pursuer="prop1",
+             evader="equilibrium", legs=[], fixes=[], hand_off=False)
+    @example(nu=0.7, rho=1.5, angle=2.0, t_f=3.0, n=2, seed=3, pursuer="aleem",
+             evader="scripted", legs=[], fixes=[], hand_off=False)
+    @example(nu=0.7, rho=1.0, angle=4.0, t_f=1.0, n=0, seed=4, pursuer="continuous",
+             evader="radial", legs=[], fixes=[], hand_off=False)
+    @example(nu=0.7, rho=1.0, angle=5.0, t_f=4.0, n=2, seed=5, pursuer="scripted",
+             evader="equilibrium", legs=[(0.5, 1.0, 0.2)], fixes=[0.3, 0.4], hand_off=True)
+    @example(nu=0.7, rho=1.0, angle=0.0, t_f=2.0, n=1, seed=6, pursuer="scripted",
+             evader="scripted", legs=[(0.5, 0.5, 0.0)], fixes=[0.3], hand_off=False)
+    def test_records_match_keyword_built_property(self, nu, rho, angle, t_f, n, seed, pursuer,
+                                                  evader, legs, fixes, hand_off):
+        cfg = GameConfig(nu=nu, r_cap=0.1, x_p0=Vec2(0.0, 0.0),
+                         x_e0=Vec2(rho * math.cos(angle), rho * math.sin(angle)),
+                         t_f=t_f, n=n, phi=PayoffSpec("hinge", 0.1), seed=seed)
+        if pursuer == "scripted":
+            ends = list(itertools.accumulate(d for d, _, _ in legs))
+            sense_at = itertools.accumulate(fixes[:n], initial=ends[-1] if ends else 0.0)
+            pursuer = ScriptedPursuer(
+                [(t, Vec2(speed * math.cos(a), speed * math.sin(a)))
+                 for t, (_, speed, a) in zip(ends, legs)],
+                list(sense_at)[1:], WaitingPursuer() if hand_off else None)
+        else:
+            pursuer = build_pursuer(pursuer, cfg)
+        if evader == "scripted":
+            evader = random_piecewise_evader(cfg, trial_rng(seed, 0))
+        else:
+            evader = build_evader(evader, cfg)
+
+        seen, results, points = [], [], []
+        results.append(simulate(cfg, _Recording(pursuer, seen), _Recording(evader, seen)))
+        real_simulate = engine.simulate
+
+        def recording_simulate(config, pursuer, evader, *, _fork=None):
+            result = real_simulate(config, pursuer, _Recording(evader, seen), _fork=_fork)
+            results.append(result)
+            points.extend(_fork[1])
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:  # forked games, as exact expectations play
+            patch.setattr(engine, "simulate", recording_simulate)
+            engine._leaves(cfg, _Recording(pursuer, seen))
+        assert len(results) >= 2
+        for result in results:
+            _assert_same_record(result, _result(result))
+        for point in points:
+            _assert_same_record(point, _point(point))
+        for info, action in seen:
+            _assert_same_record(info, _info(info))
+            _assert_same_record(action, _action(action))
 
 
 class _SenseEachReview:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -318,6 +319,21 @@ class TestGuaranteeChecks:
         report = capture_time_bound_check(off_axis, trials=30, seed=1)
         assert report.to_json_dict() == capture_time_bound_check(trials=30, seed=1).to_json_dict()
         assert run_suite("capture_time", off_axis, trials=30, seed=1) == [report]
+
+    def test_pursuer_suite_memory_does_not_grow_with_trials(self):
+        """Each random evader is played before the next is built: 4x the trials, same peak."""
+        cfg = replace(default_pursuer_config(), t_f=0.05, n=0)  # legs drawn, games short
+        pursuer_guarantee_check(cfg, trials=10)  # lazy set-up happens outside the count
+        peaks = []
+        for trials in (2000, 8000):
+            tracemalloc.start()
+            try:
+                report = pursuer_guarantee_check(cfg, trials=trials)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.passed and report.trials == trials
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 class ParkedPursuer:
