@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .core import (PAYOFF_KINDS, GameConfig, PayoffSpec, RegionNotCoveredError, _count,
-                   _fmt_cells, _in_unit, _nonnegative, _positive, fmt_g, write_csv)
+                   _fmt_cells, _in_unit, _nonnegative, _positive, _r_cap_below, fmt_g, write_csv)
 from .engine import simulate, write_trajectory_csv
 from .strategies import build_evader, build_pursuer
 from .value import (
@@ -40,10 +40,6 @@ __all__ = ["main"]
 # included) on the benchmark's grid, to estimate the CSV a larger grid would write.
 _MAX_GRID_CELLS = 10**7
 _ROW_BYTES = 54
-
-
-class CliError(Exception):
-    """User-facing error; ``main`` prints it and exits 2."""
 
 
 def _write_manifest(args, config: dict, seed: Optional[int], outputs: list[str]) -> None:
@@ -64,15 +60,15 @@ def _load_json_object(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except FileNotFoundError:
-        raise CliError(f"{path}: no such file") from None
+        raise ValueError(f"{path}: no such file") from None
     except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}") from None
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     if not isinstance(data, dict):
-        raise CliError(f"{path}: top level must be a JSON object")
+        raise ValueError(f"{path}: top level must be a JSON object")
     return data
 
 
@@ -89,7 +85,7 @@ def _config_from_file(path: str, seed_override: Optional[int]):
     try:
         config = GameConfig.from_dict(data)
     except (ValueError, TypeError) as exc:
-        raise CliError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     resolved = config.to_dict()
     resolved["pursuer"] = pursuer_choice
     resolved["evader"] = evader_choice
@@ -110,7 +106,7 @@ def cmd_simulate(args) -> int:
         pursuer = build_pursuer(pursuer_choice, config)
         evader = build_evader(evader_choice, config)
     except (ValueError, TypeError) as exc:
-        raise CliError(f"{args.config}: {exc}") from None
+        raise ValueError(f"{args.config}: {exc}") from None
     result = simulate(config, pursuer, evader)
     outcome = result.outcome
     if outcome.captured:
@@ -142,13 +138,14 @@ def _parse_ell(raw: str) -> range:
             raise ValueError
         return range(value, value + 1)
     except ValueError:
-        raise CliError(f"--ell must be a nonnegative integer or lo:hi range, got {raw!r}") from None
+        raise ValueError(
+            f"--ell must be a nonnegative integer or lo:hi range, got {raw!r}") from None
 
 
 def _linspace(lo: float, hi: float, steps: int, what: str) -> list[float]:
     """``steps`` (checked by the caller) evenly spaced points from ``lo`` to ``hi``."""
     if hi < lo:
-        raise CliError(f"{what}: max {hi} is below min {lo}")
+        raise ValueError(f"{what}: max {hi} is below min {lo}")
     if steps == 1:
         return [lo]
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
@@ -163,8 +160,8 @@ def cmd_value_grid(args) -> int:
     ells = _parse_ell(args.ell)
     cells = _count(args.rho_steps, "--rho-steps") * _count(args.tau_steps, "--tau-steps") * len(ells)
     if cells > _MAX_GRID_CELLS:
-        raise CliError(f"the grid has {cells} cells, more than the {_MAX_GRID_CELLS} allowed; "
-                       f"its CSV would take about {cells * _ROW_BYTES / 1e9:.3g} GB")
+        raise ValueError(f"the grid has {cells} cells, more than the {_MAX_GRID_CELLS} "
+                         f"allowed; its CSV would take about {cells * _ROW_BYTES / 1e9:.3g} GB")
     rhos = _linspace(args.rho_min, args.rho_max, args.rho_steps, "rho range")
     taus = _linspace(args.tau_min, args.tau_max, args.tau_steps, "tau range")
     phi = PayoffSpec(args.phi, args.r_cap)
@@ -193,11 +190,10 @@ def cmd_value_grid(args) -> int:
 
 def cmd_compare_nmax(args) -> int:
     if not 0.0 < args.nu_min <= args.nu_max < 1.0:
-        raise CliError(
+        raise ValueError(
             f"--nu range must satisfy 0 < min <= max < 1, got [{args.nu_min}, {args.nu_max}]"
         )
-    if not 0.0 < args.r_cap < args.rho0:
-        raise CliError(f"need 0 < r_cap < rho0, got r_cap={args.r_cap}, rho0={args.rho0}")
+    _r_cap_below(args.r_cap, args.rho0)
     nus = _linspace(args.nu_min, args.nu_max, _count(args.nu_steps, "--nu-steps"), "nu range")
     rows = [
         (fmt_g(nu), str(sense_count_self_triggered(args.rho0, args.r_cap, nu)),
@@ -215,15 +211,14 @@ def _parse_nu_list(raw: str) -> list[float]:
     try:
         values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
-        raise CliError(f"--nu must be a comma-separated list of numbers, got {raw!r}") from None
+        raise ValueError(f"--nu must be a comma-separated list of numbers, got {raw!r}") from None
     if not values:
-        raise CliError("--nu list is empty")
+        raise ValueError("--nu list is empty")
     return [_in_unit(nu, "--nu") for nu in values]
 
 
 def cmd_degradation(args) -> int:
-    if not 0.0 < args.r_cap < args.rho0:
-        raise CliError(f"need 0 < r_cap < rho0, got r_cap={args.r_cap}, rho0={args.rho0}")
+    _r_cap_below(args.r_cap, args.rho0)
     _positive(args.tf_frac, "--tf-frac")
     nus = _parse_nu_list(args.nu)
     phi = PayoffSpec(args.phi, args.r_cap)
@@ -347,7 +342,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args.argv, args.started = argv, time.monotonic()
     try:
         return args.func(args)
-    except (CliError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # an output path that cannot be written

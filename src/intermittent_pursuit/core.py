@@ -24,8 +24,9 @@ arithmetic*, 1991).  Every tolerance in the package is one of three constants:
 
 Input rules.  Every range check on a value from outside the package (a
 config, a closed-form argument, a strategy parameter, a suite size, a CLI
-flag) is one of six private checks, each written once below.  Each returns
-the value and raises ``ValueError`` naming the key or flag it was given:
+flag) is one of eight private checks, each written once below.  Each raises
+``ValueError``; the first six return the value and name the key or flag
+they were given:
 
 * ``_in_unit``: a number strictly inside (0, 1), which is ``nu``;
 * ``_positive``: a positive, finite number (``r_cap``, a step, an interval);
@@ -35,7 +36,9 @@ the value and raises ``ValueError`` naming the key or flag it was given:
 * ``_seed``: an ``int`` in [0, 2**64).
 
 The first three take only an ``int`` or a ``float`` and reject NaN; to the
-last three a ``bool`` is not an ``int``.
+last three a ``bool`` is not an ``int``.  The last two relate the capture
+radius to a separation rho0: ``_r_cap_below`` (0 < r_cap < rho0) and
+``_r_cap_at_most`` (both positive and finite, and r_cap <= rho0).
 """
 
 from __future__ import annotations
@@ -113,6 +116,16 @@ def _seed(value, key: str) -> int:
     if type(value) is int and 0 <= value < 2**64:
         return value
     raise ValueError(f"{key} must be an integer in [0, 2**64), got {value!r}")
+
+
+def _r_cap_below(r_cap, rho0) -> None:
+    if not 0.0 < r_cap < rho0:
+        raise ValueError(f"need 0 < r_cap < rho0, got r_cap={r_cap}, rho0={rho0}")
+
+
+def _r_cap_at_most(r_cap, rho0) -> None:
+    if _positive(r_cap, "r_cap") > _positive(rho0, "rho0"):
+        raise ValueError(f"rho0 must be at least r_cap, got {rho0} < {r_cap}")
 
 
 def fmt_g(value: float) -> str:
@@ -231,13 +244,17 @@ class PayoffSpec:
             raise ValueError(f"unknown payoff kind {self.kind!r}; expected one of {PAYOFF_KINDS}")
         object.__setattr__(self, "r_cap", _positive(float(self.r_cap), "r_cap"))
 
-    def evaluate(self, distance: float) -> float:
+    def evaluate(self, distance):
+        """The payoff of a float distance (a negative one raises) or of each element of an array."""
+        if isinstance(distance, np.ndarray):
+            excess = distance - self.r_cap
+            excess = np.where(excess < 0.0, 0.0, excess)  # max(excess, 0.0), element for element
+            with np.errstate(over="ignore"):  # inf without a warning, as a float square gives
+                return excess if self.kind == "hinge" else excess * excess
         if distance < 0:
             raise ValueError(f"distance must be nonnegative, got {distance}")
         excess = max(distance - self.r_cap, 0.0)
-        if self.kind == "hinge":
-            return excess
-        return excess * excess
+        return excess if self.kind == "hinge" else excess * excess
 
 
 def _number(value, key: str) -> float:

@@ -121,20 +121,21 @@ class SimulationResult(NamedTuple):
     evader_trajectory: Trajectory
 
 
-def _capture_root(px: float, py: float, vpx: float, vpy: float, ex: float, ey: float,
-                  vex: float, vey: float, r_cap: float, horizon: float) -> Optional[float]:
-    """First s in [0, horizon] with |(e - p) + s (v_e - v_p)| <= r_cap, else None."""
+def _capture_root(t: float, t_next: float, px: float, py: float, vpx: float, vpy: float,
+                  ex: float, ey: float, vex: float, vey: float, r_cap: float) -> Optional[float]:
+    """``simulate``'s capture finder: the first time t + s in [t, t_next] with
+    |(e - p) + s (v_e - v_p)| <= r_cap (s = 0.0 on contact at t), else None."""
     dx, dy = ex - px, ey - py
     wx, wy = vex - vpx, vey - vpy
     c = (dx * dx + dy * dy) - r_cap * r_cap
     if c <= 0.0:
-        return 0.0
+        return t + 0.0
     a = wx * wx + wy * wy
     if a == 0.0:
         return None
     b = 2.0 * (dx * wx + dy * wy)
     if b >= 0.0:
-        return None  # separation is nondecreasing on [0, inf)
+        return None  # separation is nondecreasing on [t, inf)
     disc = b * b - 4.0 * a * c
     # Grazing contact: the discriminant of a true tangency can round to a
     # tiny negative value, so clamp within a relative tolerance.
@@ -143,8 +144,9 @@ def _capture_root(px: float, py: float, vpx: float, vpy: float, ex: float, ey: f
             return None
         disc = 0.0
     s = 2.0 * c / (-b + math.sqrt(disc))  # smaller root, cancellation-free
+    horizon = t_next - t
     if s <= horizon + ROUND_TOL * max(1.0, horizon):
-        return min(s, horizon)
+        return t + min(s, horizon)
     return None
 
 
@@ -162,8 +164,7 @@ def detect_capture(p_seg: Segment, e_seg: Segment, r_cap: float) -> Optional[flo
                          f"vs [{e_seg.t_start}, {e_seg.t_end}]")
     p0, v_p = p_seg.position_at(t0), p_seg.velocity
     e0, v_e = e_seg.position_at(t0), e_seg.velocity
-    s = _capture_root(p0.x, p0.y, v_p.x, v_p.y, e0.x, e0.y, v_e.x, v_e.y, r_cap, t1 - t0)
-    return None if s is None else t0 + s
+    return _capture_root(t0, t1, p0.x, p0.y, v_p.x, v_p.y, e0.x, e0.y, v_e.x, v_e.y, r_cap)
 
 
 class _BranchPoint(NamedTuple):
@@ -198,13 +199,6 @@ def _velocity(action, cap: float, role: str) -> Vec2:
     return velocity
 
 
-def _first_contact(t: float, t_next: float, px: float, py: float, vpx: float, vpy: float,
-                   ex: float, ey: float, vex: float, vey: float, r_cap: float) -> Optional[float]:
-    """``simulate``'s finder: the absolute time of the first capture on [t, t_next], or None."""
-    s = _capture_root(px, py, vpx, vpy, ex, ey, vex, vey, r_cap, t_next - t)
-    return None if s is None else t + s
-
-
 def _play(config: GameConfig, pursuer, evader, first_contact,
           start: Optional[_BranchPoint] = None, points: Optional[list] = None) -> SimulationResult:
     """The event loop that ``simulate`` and the dense oracle share.
@@ -212,9 +206,10 @@ def _play(config: GameConfig, pursuer, evader, first_contact,
     Positions advance as floats.  ``first_contact(t, t_next, px, py, vpx,
     vpy, ex, ey, vex, vey, r_cap)`` returns the absolute time of the first
     capture on [t, t_next] under the given constant velocities, or None; it
-    is the only step in which the callers differ, and a module-level
-    function, so a game builds no closure.  A ``review_dt`` whose t_f /
-    review_dt exceeds ``_MAX_EVENTS`` is rejected before the first event.
+    is the only step in which the callers differ.  ``simulate`` passes the
+    module-level ``_capture_root``, so a game builds no closure.  A
+    ``review_dt`` whose t_f / review_dt exceeds ``_MAX_EVENTS`` is rejected
+    before the first event.
 
     The game starts from ``start``, by default the initial branch point;
     capture at t = 0 is checked only there.  Any other start is a branch
@@ -310,7 +305,7 @@ def simulate(config: GameConfig, pursuer, evader, *, _fork=None) -> SimulationRe
     that gets this game's branch points.  A resumed game returns a result
     equal (==) to the one a fresh game gives, as long as the pursuer is pure.
     """
-    return _play(config, pursuer, evader, _first_contact, *(_fork or ()))
+    return _play(config, pursuer, evader, _capture_root, *(_fork or ()))
 
 
 def _leaves(config: GameConfig, pursuer) -> list[tuple[float, int]]:

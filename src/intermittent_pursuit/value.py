@@ -25,12 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CHECK_TOL, ROUND_TOL, PayoffSpec, RegionNotCoveredError, _in_unit, _index,
-                   _nonnegative, _positive)
+                   _nonnegative, _positive, _r_cap_at_most)
 
 __all__ = [
     "trigger_coefficient",
     "self_triggered_contraction",
-    "self_triggered_contraction_raw",
     "sense_count_self_triggered",
     "sense_count_arrival",
     "travel_budget",
@@ -81,9 +80,10 @@ def self_triggered_contraction(nu: float) -> float:
     """Worst-case separation shrink factor per self-triggered dash.
 
     Uses the singularity-free form 1 - (1-nu)*sqrt(1-nu^2)/(nu+sqrt(1-nu^2)),
-    which equals ``self_triggered_contraction_raw`` wherever the latter is
-    defined; the raw form is 0/0 at nu = 1/sqrt(2) and the singularity is
-    removable.  Satisfies nu < value < 1 on all of (0, 1).  Equivalently,
+    which equals the textbook form
+    1 - [nu(1-nu)sqrt(1-nu^2) - (1-nu)(1-nu^2)] / (2nu^2 - 1) wherever the
+    latter is defined; that form is 0/0 at nu = 1/sqrt(2) and the singularity
+    is removable.  Satisfies nu < value < 1 on all of (0, 1).  Equivalently,
     1 - (1-nu)*trigger_coefficient(nu): after a dash of f(nu)*rho, a radially
     fleeing evader leaves f*rho*nu + (1-f)*rho = contraction*rho between the
     players, and no other evader heading leaves more.
@@ -93,30 +93,21 @@ def self_triggered_contraction(nu: float) -> float:
     return 1.0 - (1.0 - nu) * root / (nu + root)
 
 
-def self_triggered_contraction_raw(nu: float) -> float:
-    """Literal textbook form of the contraction factor.
-
-    1 - [nu(1-nu)sqrt(1-nu^2) - (1-nu)(1-nu^2)] / (2nu^2 - 1).  Kept only for
-    cross-checking the simplified form; numerically useless near the
-    removable singularity at nu = 1/sqrt(2), where the denominator vanishes.
-    """
-    _in_unit(nu, "nu")
-    root = math.sqrt(1.0 - nu * nu)
-    numerator = nu * (1.0 - nu) * root - (1.0 - nu) * (1.0 - nu * nu)
-    return 1.0 - numerator / (2.0 * nu * nu - 1.0)
-
-
 def sense_count_self_triggered(rho0: float, r_cap: float, nu: float) -> int:
     """Sensings the self-triggered scheme needs to drive rho0 inside r_cap.
 
     ceil(log(r_cap/rho0) / log(contraction)), clamped at 0.
     """
     _in_unit(nu, "nu")
-    if _positive(r_cap, "r_cap") > _positive(rho0, "rho0"):
-        raise ValueError(f"rho0 must be at least r_cap, got {rho0} < {r_cap}")
+    _r_cap_at_most(r_cap, rho0)
     h = self_triggered_contraction(nu)
     q = (math.log(r_cap) - math.log(rho0)) / math.log(h)
     return max(_ceil_nudged(q), 0)
+
+
+def _chase_time(rho0: float, r_cap: float, nu: float) -> float:
+    """(rho0 - r_cap) / (1 - nu): the time a full-speed chase of radial flight takes to capture."""
+    return (rho0 - r_cap) / (1.0 - nu)
 
 
 def _arrival_count(rho0: float, target: float, nu: float) -> int:
@@ -132,8 +123,7 @@ def sense_count_arrival(rho0: float, r_cap: float, nu: float) -> int:
     capture, so the count is a floor rather than a ceiling.
     """
     _in_unit(nu, "nu")
-    if _positive(r_cap, "r_cap") > _positive(rho0, "rho0"):
-        raise ValueError(f"rho0 must be at least r_cap, got {rho0} < {r_cap}")
+    _r_cap_at_most(r_cap, rho0)
     return _arrival_count(rho0, r_cap, nu)
 
 
@@ -251,23 +241,16 @@ def _bound(phi: PayoffSpec, capture, distance, conditions, tags, slack) -> Value
     The value is 0 on capture and phi(distance) elsewhere, the tag is that
     of the first condition that holds (else the last tag), and the bound is
     tight outside the slack region.  On arrays the tags are object arrays
-    whose elements are the strings of ``CASE_TAGS`` themselves, and phi is
-    ``phi.evaluate``'s arithmetic, element for element.
+    whose elements are the strings of ``CASE_TAGS`` themselves.
     """
+    value = phi.evaluate(_where(capture, 0.0, distance))
     if not isinstance(capture, np.ndarray):
-        value = 0.0 if capture else phi.evaluate(distance)
         tag = tags[-1]
         for cond, candidate in zip(conditions, tags):
             if cond:
                 tag = candidate
                 break
         return ValueBound(float(value), tag, not slack)
-    distance = np.where(capture, 0.0, distance)
-    excess = distance - phi.r_cap
-    value = np.where(excess < 0.0, 0.0, excess)  # max(excess, 0.0), as in evaluate
-    if phi.kind != "hinge":
-        with np.errstate(over="ignore"):  # inf without a warning, as a float square gives
-            value = value * value
     codes = np.select(conditions, [CASE_TAGS.index(tag) for tag in tags[:-1]],
                       CASE_TAGS.index(tags[-1]))
     return ValueBound(value, _TAG_ARRAY[codes], ~slack)
@@ -374,7 +357,7 @@ def matching_sense_count(rho0: float, t_f: float, nu: float, r_cap: float) -> in
             f"need nu*rho0 > sqrt(1+nu^2)*r_cap, got {nu * rho0} <= "
             f"{math.sqrt(1.0 + nu * nu) * r_cap}"
         )
-    if t_f < (rho0 - r_cap) / (1.0 - nu):
+    if t_f < _chase_time(rho0, r_cap, nu):
         return _arrival_count(rho0, rho0 - (1.0 - nu) * t_f, nu)
     return _arrival_count(rho0, r_cap, nu)
 

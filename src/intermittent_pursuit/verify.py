@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (CHECK_TOL, ROUND_TOL, TIME_EPS, GameConfig, PayoffSpec, Vec2, _count, _new,
-                   _positive, before, exceeds, line_of_sight, perpendicular)
+                   _positive, _r_cap_below, before, exceeds, line_of_sight, perpendicular)
 from .engine import Outcome, _play, exact_expected_payoff, simulate
 from .strategies import (
     ArrivalSensingPursuer,
@@ -28,7 +28,8 @@ from .strategies import (
     _Flips,
     trial_rng,
 )
-from .value import STAGE0_STOP, sense_count_arrival, sensing_delay, travel_budget, value_bound
+from .value import (STAGE0_STOP, _chase_time, sense_count_arrival, sensing_delay, travel_budget,
+                    value_bound)
 
 __all__ = [
     "VerificationReport",
@@ -50,6 +51,9 @@ __all__ = [
 
 # Most constant-velocity legs of a random piecewise evader.
 _MAX_LEGS = 5
+# Samples the dense oracle scans at once, and most samples one agreement run may scan.
+_ORACLE_BLOCK = 1 << 16
+_MAX_ORACLE_SAMPLES = 10**10
 
 
 @dataclass(frozen=True, slots=True)
@@ -428,9 +432,8 @@ def capture_time_bound_check(
     """
     config = config or replace(default_pursuer_config(), x_e0=Vec2(5.0, 0.0))
     nu, r_cap, rho0 = config.nu, config.r_cap, config.initial_distance
-    if not 0.0 < r_cap < rho0:
-        raise ValueError(f"need 0 < r_cap < rho0, got r_cap={r_cap}, rho0={rho0}")
-    time_bound = (rho0 - r_cap) / (1.0 - nu)
+    _r_cap_below(r_cap, rho0)
+    time_bound = _chase_time(rho0, r_cap, nu)
     max_senses, max_travel = travel_budget(rho0, r_cap, nu)
     config = GameConfig(
         nu=nu, r_cap=r_cap,
@@ -479,22 +482,30 @@ def dense_oracle(config: GameConfig, pursuer, evader, dt: float = 1e-3) -> Outco
     action checks, review scheduling) but detects capture only by scanning
     distances on the global grid j * dt (plus each event instant), never by
     root finding.  A capture the engine reports at time t is seen by the
-    oracle no later than t + dt whenever the approach is transversal.
+    oracle no later than t + dt whenever the approach is transversal.  Each
+    interval is scanned in blocks of ``_ORACLE_BLOCK`` grid samples, in
+    order, so memory does not grow with 1 / dt.
     """
     _positive(dt, "dt")
 
     def first_contact(t, t_next, px, py, vpx, vpy, ex, ey, vex, vey, r_cap):
-        j_lo = math.floor(t / dt) + 1
-        j_hi = math.floor(t_next / dt)
-        sample_times = np.arange(j_lo, j_hi + 1, dtype=float) * dt
-        sample_times = np.append(sample_times, t_next)
-        sample_times = sample_times[sample_times > t + TIME_EPS]
+        j, j_end = math.floor(t / dt) + 1, math.floor(t_next / dt) + 1
+        while True:
+            stop = min(j + _ORACLE_BLOCK, j_end)
+            sample_times = np.arange(j, stop, dtype=float) * dt
+            if stop == j_end:  # the last block ends with the event instant
+                sample_times = np.append(sample_times, t_next)
+            sample_times = sample_times[sample_times > t + TIME_EPS]
 
-        offsets = sample_times - t
-        dx = (ex - px) + (vex - vpx) * offsets
-        dy = (ey - py) + (vey - vpy) * offsets
-        hit = np.nonzero(np.hypot(dx, dy) <= r_cap)[0]
-        return float(sample_times[hit[0]]) if hit.size else None
+            offsets = sample_times - t
+            dx = (ex - px) + (vex - vpx) * offsets
+            dy = (ey - py) + (vey - vpy) * offsets
+            hit = np.nonzero(np.hypot(dx, dy) <= r_cap)[0]
+            if hit.size:
+                return float(sample_times[hit[0]])
+            if stop == j_end:
+                return None
+            j = stop
 
     return _play(config, pursuer, evader, first_contact).outcome
 
@@ -508,17 +519,22 @@ def _radial_speed_at_capture(result) -> float:
     return d.dot(w) / d.norm()
 
 
+# The ranges of nu, r_cap and rho0 the scenarios draw, and of a capture
+# scenario's horizon over its chase time; a miss scenario's is shorter.
+_NU, _R_CAP, _RHO0, _SLACK = (0.35, 0.85), (0.05, 0.25), (1.0, 4.0), (1.2, 1.8)
+_LONGEST_T_F = _SLACK[1] * _chase_time(_RHO0[1], _R_CAP[0], _NU[1])
+
+
 def _oracle_scenario(seed: int, cand: int):
     """Deterministic random scenario for the agreement check."""
     rng = trial_rng(seed, 50_000 + cand)
-    nu = float(rng.uniform(0.35, 0.85))
-    r_cap = float(rng.uniform(0.05, 0.25))
-    rho0 = float(rng.uniform(1.0, 4.0))
+    nu = float(rng.uniform(*_NU))
+    r_cap = float(rng.uniform(*_R_CAP))
+    rho0 = float(rng.uniform(*_RHO0))
     angle = float(rng.uniform(0.0, 2.0 * math.pi))
     want_capture = bool(rng.uniform() < 0.7)
-    time_bound = (rho0 - r_cap) / (1.0 - nu)
     if want_capture:
-        t_f = time_bound * float(rng.uniform(1.2, 1.8))
+        t_f = _chase_time(rho0, r_cap, nu) * float(rng.uniform(*_SLACK))
         n = sense_count_arrival(rho0, r_cap, nu) + 2
     else:
         t_f = rho0 * float(rng.uniform(0.3, 0.6))
@@ -555,10 +571,16 @@ def oracle_agreement_check(n_scenarios: int = 50, dt: float = 1e-3,
     misses.  Grazing captures (shallow approach, or too close to an end of
     the horizon for the grid to see) are excluded by the generator, since a
     sampled scan cannot certify them either way.  A run that compares no
-    capture fails.
+    capture fails.  A run whose oracle could scan more than
+    ``_MAX_ORACLE_SAMPLES`` samples (n_scenarios times the longest horizon
+    over dt) is refused before the first scenario.
     """
     _count(n_scenarios, "n_scenarios")
     _positive(dt, "dt")
+    samples = n_scenarios * _LONGEST_T_F / dt
+    if samples > _MAX_ORACLE_SAMPLES:
+        raise ValueError(f"dt={dt:g} could scan about {samples:.3g} samples in {n_scenarios} "
+                         f"scenarios, more than the {_MAX_ORACLE_SAMPLES:.3g} allowed")
     accepted = 0
     cand = 0
     captures = 0

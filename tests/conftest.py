@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
 import json
+import math
 
 import pytest
 from hypothesis import settings
@@ -87,3 +88,14 @@ def default_config_payload(**overrides) -> dict:
     }
     payload.update(overrides)
     return payload
+
+
+def textbook_contraction(nu: float) -> float:
+    """The contraction factor in its literal textbook form, a reference for the package's.
+
+    1 - [nu(1-nu)sqrt(1-nu^2) - (1-nu)(1-nu^2)] / (2nu^2 - 1): 0/0 at the
+    removable singularity nu = 1/sqrt(2), and useless near it.
+    """
+    root = math.sqrt(1.0 - nu * nu)
+    numerator = nu * (1.0 - nu) * root - (1.0 - nu) * (1.0 - nu * nu)
+    return 1.0 - numerator / (2.0 * nu * nu - 1.0)

@@ -40,7 +40,6 @@ from intermittent_pursuit import (
     oracle_agreement_check,
     pursuer_guarantee_check,
     self_triggered_contraction,
-    self_triggered_contraction_raw,
     sense_count_arrival,
     sense_count_self_triggered,
     simulate,
@@ -48,6 +47,7 @@ from intermittent_pursuit import (
     value_bound,
 )
 from intermittent_pursuit.verify import _endpoint_run
+from conftest import textbook_contraction
 
 HINGE = PayoffSpec("hinge", 0.1)
 
@@ -473,7 +473,7 @@ def test_criterion_8_oracle_and_contraction_forms():
         if abs(nu - singular) <= 1e-3:
             continue
         worst = max(worst, abs(self_triggered_contraction(nu)
-                               - self_triggered_contraction_raw(nu)))
+                               - textbook_contraction(nu)))
     if worst > 1e-10:
         failures.append(f"contraction forms disagree by {worst:.3e} away from the singularity")
     h_mid = self_triggered_contraction(singular)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -479,6 +480,16 @@ class TestVerify:
                                  capsys=capsys)
         assert code == 2 and out == ""
         assert err == "error: dt must be positive and finite, got inf\n"
+
+    def test_oracle_with_a_tiny_step_fails_fast(self, capsys):
+        # 10 scenarios of up to 47.4 time units each, sampled every 1e-8
+        started = time.monotonic()
+        code, out, err = run_cli("verify", "oracle", "--trials", "20", "--dt", "1e-8",
+                                 capsys=capsys)
+        assert time.monotonic() - started < 1.0
+        assert code == 2 and out == ""
+        assert err == ("error: dt=1e-08 could scan about 4.74e+10 samples in 10 scenarios, "
+                       "more than the 1e+10 allowed\n")
 
     def test_oracle_fails_when_it_compares_no_capture(self, capsys):
         # every capture lies within 2 dt of an end of the horizon, so none is compared

@@ -101,6 +101,13 @@ class TestPayoffSpec:
             for d in (0.0, 0.1, 0.25):
                 assert phi.evaluate(d) == 0.0
 
+    @pytest.mark.parametrize("kind", PAYOFF_KINDS)
+    def test_array_matches_each_float(self, kind):
+        """An array is evaluated as each of its floats is; a square past the float range is inf."""
+        phi = PayoffSpec(kind=kind, r_cap=0.1)
+        distances = [0.0, 0.05, 0.1, 0.6, 3.7, 1e200, math.inf]
+        assert phi.evaluate(np.array(distances)).tolist() == [phi.evaluate(d) for d in distances]
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             PayoffSpec(kind="cubic", r_cap=0.1)

@@ -65,24 +65,27 @@ def test_tolerance_literals_live_only_in_the_policy():
     assert sorted(found) == sorted(("core.py", line) for line in policy.values())
 
 
-# A value each input rule rejects, to read the rule's wording back from core.
-_RULES = ((core._in_unit, 1.0), (core._positive, 0.0), (core._nonnegative, -1.0),
-          (core._index, -1), (core._count, 0), (core._seed, -1))
+# A call that breaks each input rule, to read the rule's wording back from core.
+_RULES = (lambda: core._in_unit(1.0, "key"), lambda: core._positive(0.0, "key"),
+          lambda: core._nonnegative(-1.0, "key"), lambda: core._index(-1, "key"),
+          lambda: core._count(0, "key"), lambda: core._seed(-1, "key"),
+          lambda: core._r_cap_below(0.1, 0.1), lambda: core._r_cap_at_most(0.2, 0.1))
 
 
 def test_input_rule_wording_lives_only_in_core():
     """No module but core spells an input rule's message, so none restates a rule.
 
-    The wording is read back from core's rules ("must be positive, got" and
-    so on) and searched for in every string constant, f-string parts
-    included, of the package's other modules.
+    The wording is read back from core's rules, up to its ", got" ("must be
+    positive, got", "need 0 < r_cap < rho0, got" and so on), and searched
+    for in every string constant, f-string parts included, of the package's
+    other modules.
     """
     wordings = []
-    for rule, bad in _RULES:
+    for rule in _RULES:
         with pytest.raises(ValueError) as caught:
-            rule(bad, "key")
-        message = str(caught.value)
-        wordings.append(message[len("key "):message.rindex(" ")])
+            rule()
+        message = str(caught.value).removeprefix("key ")
+        wordings.append(message[:message.index(", got") + len(", got")])
     found = []
     for path in sorted(Path(core.__file__).parent.glob("*.py")):
         if path.name == "core.py":
@@ -100,6 +103,8 @@ NONNEGATIVE = "{} must be nonnegative and finite, got {}"
 INDEX = "{} must be a nonnegative integer, got {}"
 COUNT = "{} must be positive, got {}"
 SEED = "{} must be an integer in [0, 2**64), got {}"
+BELOW = "need 0 < r_cap < rho0, got r_cap={}, rho0={}"
+AT_MOST = "rho0 must be at least r_cap, got {} < {}"
 STILL = engine.Segment(0.0, 1.0, core.Vec2(0.0, 0.0), core.Vec2(0.0, 0.0))
 GRID = ("value-grid", "--nu", "0.7", "--r-cap", "0.1", "--rho-max", "3", "--tau-max", "6")
 
@@ -109,7 +114,6 @@ GRID = ("value-grid", "--nu", "0.7", "--r-cap", "0.1", "--rho-max", "3", "--tau-
     (lambda: make_config(nu=1.0), NU.format(1.0)),
     (lambda: value.trigger_coefficient(0.0), NU.format(0.0)),
     (lambda: value.self_triggered_contraction(1.5), NU.format(1.5)),
-    (lambda: value.self_triggered_contraction_raw(math.nan), NU.format(math.nan)),
     (lambda: value.sense_count_self_triggered(5.0, 0.1, 1.0), NU.format(1.0)),
     (lambda: value.sense_count_arrival(5.0, 0.1, "0.7"), NU.format("'0.7'")),
     (lambda: value.travel_budget(5.0, 0.1, -0.5), NU.format(-0.5)),
@@ -181,12 +185,29 @@ GRID = ("value-grid", "--nu", "0.7", "--r-cap", "0.1", "--rho-max", "3", "--tau-
     (lambda: core.GameConfig.from_dict(default_config_payload(seed=-1)), SEED.format("seed", -1)),
     (lambda: strategies.trial_rng(-1, 0), SEED.format("seed", -1)),
     (lambda: strategies.theta_stream(2**64, 0, 4), SEED.format("seed", 2**64)),
+    # 0 < r_cap < rho0
+    (lambda: verify.capture_time_bound_check(make_config(rho0=0.1)), BELOW.format(0.1, 0.1)),
+    (("compare-nmax", "--nu-min", "0.5", "--nu-max", "0.9", "--rho0", "0.05"),
+     BELOW.format(0.1, 0.05)),
+    (("degradation", "--nu", "0.7", "--r-cap", "0"), BELOW.format(0.0, 5.0)),
+    # r_cap <= rho0, both positive and finite
+    (lambda: value.sense_count_self_triggered(0.05, 0.1, 0.7), AT_MOST.format(0.05, 0.1)),
+    (lambda: value.sense_count_arrival(0.05, 0.1, 0.7), AT_MOST.format(0.05, 0.1)),
+    # where a value's type is checked as it enters
+    (lambda: strategies.build_pursuer(3, make_config()),
+     "pursuer must be a name or an object, got 3"),
+    (lambda: core.GameConfig(0.7, 0.1, (0.0, 0.0), core.Vec2(1.0, 0.0), 5.0, 2, HINGE),
+     "x_p0 and x_e0 must be Vec2 instances"),
+    (lambda: core.GameConfig.from_dict([default_config_payload()]),
+     "config must be a JSON object, got list"),
 ])
 def test_each_input_rule_at_each_entry_point(call, message, tmp_path, capsys):
     """Every entry point rejects a value that breaks a rule with the rule's message.
 
-    A callable must raise ``ValueError``; a CLI argv must exit 2 with the
-    message on stderr and write nothing.
+    The last rows are the type checks where a value enters (a strategy
+    selector, a config's positions, a config object), each with its one
+    message.  A callable must raise ``ValueError``; a CLI argv must exit 2
+    with the message on stderr and write nothing.
     """
     if callable(call):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

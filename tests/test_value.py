@@ -28,13 +28,13 @@ from intermittent_pursuit import (
     sense_count_self_triggered,
     sensing_delay,
     self_triggered_contraction,
-    self_triggered_contraction_raw,
     theta_stream,
     travel_budget,
     trial_rng,
     trigger_coefficient,
     value_bound,
 )
+from conftest import textbook_contraction
 
 HINGE = PayoffSpec(kind="hinge", r_cap=0.1)
 QUAD = PayoffSpec(kind="quadratic-above-capture", r_cap=0.1)
@@ -84,7 +84,7 @@ def test_raw_form_agrees_away_from_singularity():
         nu = float(nu)
         if abs(nu - singular) <= 1e-3:
             continue
-        gap = abs(self_triggered_contraction(nu) - self_triggered_contraction_raw(nu))
+        gap = abs(self_triggered_contraction(nu) - textbook_contraction(nu))
         worst = max(worst, gap)
         checked += 1
     print(f"raw-vs-simplified: {checked} points, worst gap {worst:.3e}")

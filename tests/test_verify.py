@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from intermittent_pursuit import (
     CHECK_TOL,
+    EvaderAction,
     PursuerAction,
     ArrivalSensingPursuer,
     ContinuousPursuer,
@@ -343,6 +344,22 @@ class ParkedPursuer:
         return PursuerAction()
 
 
+class SlowArrival(ArrivalSensingPursuer):
+    """The arrival-sensing pursuer at 0.95 of its speed."""
+
+    def act(self, info):
+        action = super().act(info)
+        return PursuerAction(action.velocity * 0.95, action.sense_now, action.review_at)
+
+
+class SlowRadial(RadialEvader):
+    """Radial flight at 0.9 of the evader's top speed."""
+
+    def act(self, info):
+        action = super().act(info)
+        return EvaderAction(action.velocity * 0.9, action.review_at)
+
+
 class TestSuitesCanFail:
     """Negative controls: each suite reports a claim broken from outside."""
 
@@ -361,6 +378,44 @@ class TestSuitesCanFail:
         self._assert_fails_with(capture_time_bound_check(trials=2),
                                 "radial: no capture within twice the bound")
 
+    def test_capture_time_suite_late_capture(self, monkeypatch):
+        monkeypatch.setattr(verify, "ArrivalSensingPursuer", SlowArrival)
+        self._assert_fails_with(capture_time_bound_check(trials=2),
+                                r"radial: capture at \S+ after bound \S+")
+
+    def test_capture_time_suite_sensing_count(self, monkeypatch):
+        true_budget = verify.travel_budget
+        monkeypatch.setattr(verify, "travel_budget", lambda *args: (
+            true_budget(*args)[0] - 1, true_budget(*args)[1]))
+        self._assert_fails_with(capture_time_bound_check(trials=2),
+                                r"radial: \d+ sensings exceed the budget bound \d+")
+
+    def test_capture_time_suite_path_past_elapsed_time(self, monkeypatch):
+        true_length = engine.Trajectory.path_length
+        monkeypatch.setattr(engine.Trajectory, "path_length",
+                            lambda self: 2.0 * true_length(self))
+        self._assert_fails_with(capture_time_bound_check(trials=2),
+                                r"stationary: path \S+ longer than travel time \S+")
+
+    def test_capture_time_suite_path_past_travel_budget(self, monkeypatch):
+        true_budget = verify.travel_budget
+        monkeypatch.setattr(verify, "travel_budget", lambda *args: (
+            true_budget(*args)[0], 0.5 * true_budget(*args)[1]))
+        self._assert_fails_with(capture_time_bound_check(trials=2),
+                                r"radial: path \S+ beyond travel budget \S+")
+
+    def test_capture_time_suite_radial_flight_attains_the_bound(self, monkeypatch):
+        monkeypatch.setattr(verify, "RadialEvader", SlowRadial)
+        self._assert_fails_with(capture_time_bound_check(trials=2),
+                                r"radial: capture \S+ does not attain \S+")
+
+    def test_capture_time_suite_stationary_capture(self, monkeypatch):
+        # the "stationary" evader steps 0.5 away first (random evaders are not played)
+        monkeypatch.setattr(verify, "ScriptedEvader",
+                            lambda legs: ScriptedEvader([(1.0, Vec2(0.5, 0.0))]))
+        self._assert_fails_with(capture_time_bound_check(trials=2),
+                                r"stationary: capture \S+ != \S+")
+
     def test_evader_suite(self, monkeypatch):
         true_bound = verify.value_bound
         monkeypatch.setattr(verify, "value_bound", lambda *args: replace(
@@ -371,9 +426,35 @@ class TestSuitesCanFail:
     def test_oracle_suite(self, monkeypatch):
         true_root = engine._capture_root
         monkeypatch.setattr(engine, "_capture_root", lambda *args: true_root(
-            *args[:8], 0.5 * args[8], args[9]))
+            *args[:10], 0.5 * args[10]))
         self._assert_fails_with(oracle_agreement_check(n_scenarios=6),
                                 r"scenario_\d+: capture-time gap \S+ outside the envelope")
+
+    @pytest.mark.parametrize("change, pattern", [
+        ({"payoff": 0.5}, r"scenario_\d+: payoff gap 0\.5"),
+        ({"sensing_times": (-1.0,)}, r"scenario_\d+: sensing schedules differ"),
+    ])
+    def test_oracle_suite_on_misses(self, change, pattern, monkeypatch):
+        """A miss whose oracle payoff or schedule is perturbed (2 of the 6 scenarios miss)."""
+        true_oracle = verify.dense_oracle
+
+        def perturbed(*args):
+            outcome = true_oracle(*args)
+            if outcome.captured:
+                return outcome
+            return outcome._replace(**{key: getattr(outcome, key) + shift
+                                       for key, shift in change.items()})
+
+        monkeypatch.setattr(verify, "dense_oracle", perturbed)
+        self._assert_fails_with(oracle_agreement_check(n_scenarios=6), pattern)
+
+    def test_oracle_suite_generator_shortfall(self, monkeypatch):
+        # every candidate is caught at t = 0, too close to the start for the grid
+        caught = make_config(rho0=0.05)
+        monkeypatch.setattr(verify, "_oracle_scenario",
+                            lambda seed, cand: (caught, WaitingPursuer(), RadialEvader()))
+        self._assert_fails_with(oracle_agreement_check(n_scenarios=1),
+                                "generator accepted only 0 of 1 scenarios")
 
 
 class TestJensenSuite:
@@ -505,6 +586,34 @@ class TestDenseOracle:
         assert report.passed, report.failures
         assert report.trials == 6
         print("oracle notes:", report.notes)
+
+    def test_block_size_changes_no_outcome(self, monkeypatch):
+        """Scanning each interval in blocks of 5 samples finds what one pass finds."""
+        scenarios = [verify._oracle_scenario(0, cand) for cand in range(12)]
+        whole = [dense_oracle(*scenario) for scenario in scenarios]
+        assert 0 < sum(outcome.captured for outcome in whole) < len(whole)
+        monkeypatch.setattr(verify, "_ORACLE_BLOCK", 5)
+        assert [dense_oracle(*scenario) for scenario in scenarios] == whole
+
+    def test_longest_horizon_bounds_every_scenario(self):
+        horizons = [verify._oracle_scenario(seed, cand)[0].t_f
+                    for seed in (0, 1) for cand in range(500)]
+        assert max(horizons) <= verify._LONGEST_T_F
+
+    @pytest.mark.parametrize("n_scenarios, dt", [
+        (100, 1e-5),  # acceptance criterion 8
+        (50, 1e-6),  # verify oracle --dt 1e-6 at the default --trials
+    ])
+    def test_sample_cap_admits(self, n_scenarios, dt, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def first_scenario(seed, cand):
+            raise Started
+
+        monkeypatch.setattr(verify, "_oracle_scenario", first_scenario)
+        with pytest.raises(Started):
+            oracle_agreement_check(n_scenarios, dt)
 
 
 class TestRunSuite:
