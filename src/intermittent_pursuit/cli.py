@@ -105,7 +105,7 @@ def cmd_simulate(args) -> int:
     try:
         pursuer = build_pursuer(pursuer_choice, config)
         evader = build_evader(evader_choice, config)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{args.config}: {exc}") from None
     result = simulate(config, pursuer, evader)
     outcome = result.outcome

@@ -277,9 +277,10 @@ class EquilibriumEvader:
 
     def __init__(self, thetas: Sequence[int]):
         if not isinstance(thetas, _Flips):
+            if not (isinstance(thetas, (list, tuple))
+                    and all(type(t) is int and t in (1, -1) for t in thetas)):
+                raise ValueError(f"thetas must be a list of +1/-1 integers, got {thetas!r}")
             thetas = tuple(thetas)
-            if any(type(t) is not int or t not in (1, -1) for t in thetas):
-                raise ValueError(f"thetas must be +1/-1 integers, got {thetas}")
         self.thetas = thetas
 
     def act(self, info: EvaderInfo) -> EvaderAction:
@@ -347,10 +348,17 @@ class ScriptedPursuer:
 
 
 def _legs(legs: Sequence[tuple[float, Vec2]]) -> tuple[tuple[float, Vec2], ...]:
-    """A script's legs: end times finite, positive, increasing; the engine checks velocities."""
+    """[t_end, [vx, vy]] legs: end times finite, positive and increasing; play checks the speed."""
+    if not isinstance(legs, (list, tuple)):
+        raise ValueError(f"legs must be a list of [t_end, [vx, vy]] pairs, got {legs!r}")
     parsed = []
     last_end = 0.0
-    for t_end, velocity in legs:
+    for k, leg in enumerate(legs):
+        if not (isinstance(leg, (list, tuple)) and len(leg) == 2):
+            raise ValueError(f"legs[{k}] must be a pair [t_end, [vx, vy]], got {leg!r}")
+        t_end, velocity = leg
+        if not isinstance(velocity, Vec2):
+            velocity = _vec_from(velocity, "leg velocity")
         t_end = _number(t_end, "leg end time")
         if not (math.isfinite(t_end) and t_end > last_end):
             raise ValueError(f"leg end times must be positive and increasing, got {t_end}")
@@ -367,16 +375,15 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 def theta_stream(seed: int, trial: int, length: int) -> tuple[int, ...]:
     """Deterministic +/-1 orientation draws for one trial."""
-    rng = trial_rng(seed, trial)
-    return tuple(int(x) for x in rng.choice((-1, 1), size=_index(length, "length")))
+    return tuple(_Flips.seeded(seed, trial, _index(length, "length")))
 
 
 class _Flips:
     """``length`` coin flips: ``head``, then ``tail`` for every later flip.
 
     ``tail`` is +1, -1 or, from ``seeded``, a generator drawn one flip at a time
-    as each is first read, which gives ``theta_stream``'s values; so a budget
-    costs nothing until a game spends it.  Not checked: only the package builds them.
+    as each is first read (``theta_stream`` reads them all); so a budget costs
+    nothing until a game spends it.  Not checked: only the package builds them.
     """
 
     __slots__ = ("_head", "_length", "_tail")
@@ -455,21 +462,8 @@ def build_evader(selector, config: GameConfig):
     (trial 0) when the game first reads it, unless ``thetas`` lists them.
     """
     cls, params = _lookup(selector, "evader", _EVADERS)
-    if cls is EquilibriumEvader:
-        thetas = params.get("thetas")
-        if thetas is None:
-            thetas = _Flips.seeded(config.seed, 0, config.n + 1)
-        elif not isinstance(thetas, (list, tuple)):
-            raise ValueError(f"thetas must be a list of +1/-1 integers, got {thetas!r}")
-        return EquilibriumEvader(thetas)
-    if cls is ScriptedEvader:
-        if "legs" not in params:
-            raise ValueError("scripted evader needs a 'legs' list of [t_end, [vx, vy]] pairs")
-        legs = params["legs"]
-        if not isinstance(legs, (list, tuple)):
-            raise ValueError(f"legs must be a list of [t_end, [vx, vy]] pairs, got {legs!r}")
-        for k, leg in enumerate(legs):
-            if not (isinstance(leg, (list, tuple)) and len(leg) == 2):
-                raise ValueError(f"legs[{k}] must be a pair [t_end, [vx, vy]], got {leg!r}")
-        return ScriptedEvader([(t, _vec_from(v, "leg velocity")) for t, v in legs])
+    if cls is EquilibriumEvader and params.get("thetas") is None:
+        params["thetas"] = _Flips.seeded(config.seed, 0, config.n + 1)
+    if cls is ScriptedEvader and "legs" not in params:
+        raise ValueError("scripted evader needs a 'legs' list of [t_end, [vx, vy]] pairs")
     return cls(**params)

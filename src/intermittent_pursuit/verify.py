@@ -54,6 +54,8 @@ _MAX_LEGS = 5
 # Samples the dense oracle scans at once, and most samples one agreement run may scan.
 _ORACLE_BLOCK = 1 << 16
 _MAX_ORACLE_SAMPLES = 10**10
+# Most trials one suite runs: about 0.1 ms a trial, and 0.4 KB a Jensen sweep point.
+_MAX_TRIALS = 10**6
 
 
 @dataclass(frozen=True, slots=True)
@@ -634,8 +636,10 @@ def run_suite(
     seed: int = 0,
     dt: float = 1e-3,
 ) -> list[VerificationReport]:
-    """Run one named suite; ``all`` is handled by the caller.  Every suite needs trials >= 1."""
+    """Run one named suite; ``all`` is handled by the caller.  Trials lie in [1, 10**6]."""
     _count(trials, "trials")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"trials {trials} is above the cap {_MAX_TRIALS}")
     if name == "pursuer":
         return [pursuer_guarantee_check(config, trials=trials, seed=seed)]
     if name == "evader":

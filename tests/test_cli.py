@@ -166,7 +166,7 @@ class TestSimulate:
         ({"evader": {"name": "equilibrium", "thetas": 5}},
          "thetas must be a list of +1/-1 integers, got 5"),
         ({"evader": {"name": "equilibrium", "thetas": [1.9, -1]}},
-         "thetas must be +1/-1 integers, got (1.9, -1)"),
+         "thetas must be a list of +1/-1 integers, got [1.9, -1]"),
         ({"nu": [0.7]}, "nu must be a number, got [0.7]"),
         ({"x_p0": [None, 0]}, "x_p0[0] must be a number, got None"),
         ({"x_p0": [1]}, "x_p0 must be a pair [x, y], got [1]"),
@@ -431,6 +431,15 @@ class TestVerify:
         code, out, err = run_cli("verify", suite, "--trials", trials, capsys=capsys)
         assert code == 2 and out == ""
         assert err == f"error: trials must be positive, got {trials}\n"
+
+    @pytest.mark.parametrize("suite", ["jensen", "pursuer", "evader", "capture_time", "oracle",
+                                       "all"])
+    def test_trials_above_the_cap_is_an_error(self, suite, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli("verify", suite, "--trials", "1000001", capsys=capsys)
+        assert time.perf_counter() - start < 1.0  # refused before any work
+        assert code == 2 and out == ""
+        assert err == "error: trials 1000001 is above the cap 1000000\n"
 
     @pytest.mark.parametrize("t_f", [0.0, 1e-13])
     def test_evader_skips_a_fix_at_the_start(self, t_f, config_json, capsys):

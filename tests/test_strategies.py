@@ -507,12 +507,13 @@ class TestBuilders:
     @given(st.integers(0, 2**64 - 1), st.integers(0, 130),
            st.lists(st.integers(0, 130), max_size=8))
     def test_lazy_draws_equal_the_bulk_stream_property(self, seed, n, reads):
-        """Read in any order, the built evader's stream is ``theta_stream``'s."""
+        """Read in any order, the built evader's stream and ``theta_stream`` are the bulk draw."""
         eq = build_evader("equilibrium", make_config(n=n, seed=seed))
-        bulk = theta_stream(seed, 0, n + 1)
+        bulk = tuple(int(x) for x in trial_rng(seed, 0).choice((-1, 1), size=n + 1))
         reads = [k for k in reads if k <= n]
         assert [eq.thetas[k] for k in reads] == [bulk[k] for k in reads]
         assert len(eq.thetas) == n + 1 and tuple(eq.thetas) == bulk
+        assert theta_stream(seed, 0, n + 1) == bulk
 
     def test_equilibrium_draws_only_the_orientations_read(self, monkeypatch):
         drawn = []
@@ -546,6 +547,87 @@ class TestBuilders:
             build_evader({"review_dt": 0.5}, cfg)
         with pytest.raises(ValueError, match="'legs'"):
             build_evader({"name": "scripted"}, cfg)
+
+
+# JSON-shaped values: every type a config file can hold, nan and infinity too.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                               max_size=2),
+    max_leaves=8)
+_THETAS = _JSON | st.lists(st.sampled_from([1, -1]) | _JSON, max_size=4)
+_LEGS = _JSON | st.lists(
+    _JSON | st.tuples(st.floats(0.0, 4.0) | _JSON,
+                      st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2) | _JSON),
+    max_size=3)
+
+
+def _built_or_message(build):
+    """The strategy ``build()`` returns, or its ``ValueError``'s message; anything else raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestParameterChecks:
+    """Constructors and config builders take the same values, with the same messages."""
+
+    @staticmethod
+    def same(direct, from_config, field):
+        if isinstance(direct, str):
+            assert from_config == direct
+        else:
+            assert repr(getattr(from_config, field)) == repr(getattr(direct, field))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_THETAS)
+    def test_thetas_property(self, thetas):
+        cfg = make_config(n=3)
+        built = _built_or_message(
+            lambda: build_evader({"name": "equilibrium", "thetas": thetas}, cfg))
+        if thetas is None:  # the config's seeded stream
+            assert tuple(built.thetas) == theta_stream(cfg.seed, 0, cfg.n + 1)
+            return
+        self.same(_built_or_message(lambda: EquilibriumEvader(thetas)), built, "thetas")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_LEGS)
+    def test_legs_property(self, legs):
+        direct = _built_or_message(lambda: ScriptedEvader(legs))
+        self.same(direct, _built_or_message(lambda: ScriptedPursuer(legs=legs)), "legs")
+        built = _built_or_message(lambda: build_evader({"name": "scripted", "legs": legs},
+                                                       make_config()))
+        self.same(direct, built, "legs")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON)
+    def test_review_dt_property(self, review_dt):
+        cfg = make_config()
+        for cls, build, name in ((RadialEvader, build_evader, "radial"),
+                                 (ContinuousPursuer, build_pursuer, "continuous")):
+            direct = _built_or_message(lambda: cls(review_dt=review_dt))
+            built = _built_or_message(lambda: build({"name": name, "review_dt": review_dt}, cfg))
+            self.same(direct, built, "review_dt")
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ScriptedEvader(5), "legs must be a list of [t_end, [vx, vy]] pairs, got 5"),
+        (lambda: ScriptedPursuer([(1.0,)]), "legs[0] must be a pair [t_end, [vx, vy]], got (1.0,)"),
+        (lambda: ScriptedEvader([(1.0, 2.0)]), "leg velocity must be a pair [x, y], got 2.0"),
+        (lambda: EquilibriumEvader(7), "thetas must be a list of +1/-1 integers, got 7"),
+        (lambda: EquilibriumEvader([1, True]),
+         "thetas must be a list of +1/-1 integers, got [1, True]"),
+    ], ids=["legs_int", "leg_short", "leg_velocity", "thetas_int", "thetas_bool"])
+    def test_constructor_messages(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_vec2_velocities_pass_untouched(self):
+        velocity = Vec2(0.25, 0.5)
+        script = ScriptedPursuer([(1.0, velocity)])
+        assert script.legs[0][1] is velocity
+        assert ScriptedEvader([[2, [0, 0.5]]]).legs == ((2.0, Vec2(0.0, 0.5)),)
 
 
 def test_arrival_tolerance_is_tiny():
